@@ -8,10 +8,20 @@ unwind U/R one step at a time; fully expanded nodes with identical
 obligations merge. The result is a state-labeled automaton: entering a
 state requires its literals to hold, and one acceptance set per U-formula
 keeps postponed eventualities honest.
+
+Cost tracks the automaton, not the formula's printed size:
+- `to_nnf` shares the translation of a repeated subformula, so an xor
+  chain's normal form is a graph linear in the chain, not a tree
+  exponential in it.
+- `build_automaton` interns each distinct subformula to an int once; the
+  tableau's sets then hold ints, and complete nodes merge through a dict
+  keyed on their (old, next) sets.
+- No walk recurses, so formula depth is bounded by memory only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import ltl
@@ -68,83 +78,205 @@ class NRelease(NnfFormula):
     right: NnfFormula
 
 
-def to_nnf(formula: ltl.Formula, negate: bool = False) -> NnfFormula:
-    """Rewrite into NNF, optionally negating on the way down."""
-    if isinstance(formula, ltl.Atom):
-        return NLit(formula.name, negate)
-    if isinstance(formula, ltl.TrueConst):
-        return NFalse() if negate else NTrue()
-    if isinstance(formula, ltl.FalseConst):
-        return NTrue() if negate else NFalse()
-    if isinstance(formula, ltl.Not):
-        return to_nnf(formula.operand, not negate)
-    if isinstance(formula, ltl.Next):
-        return NNext(to_nnf(formula.operand, negate))
-    if isinstance(formula, ltl.Always):
+def _nnf_rule(f: ltl.Formula, negate: bool):
+    """One rewriting step: the (subformula, negate) pairs the NNF of
+    `f` (negated if `negate`) is built from, and the builder that takes
+    their NNFs in that order."""
+    if isinstance(f, ltl.Atom):
+        return (), lambda: NLit(f.name, negate)
+    if isinstance(f, ltl.TrueConst):
+        return (), NFalse if negate else NTrue
+    if isinstance(f, ltl.FalseConst):
+        return (), NTrue if negate else NFalse
+    if isinstance(f, ltl.Not):
+        return ((f.operand, not negate),), lambda a: a
+    if isinstance(f, ltl.Next):
+        return ((f.operand, negate),), NNext
+    if isinstance(f, ltl.Always):
         # G f = false R f; !G f = true U !f
         if negate:
-            return NUntil(NTrue(), to_nnf(formula.operand, True))
-        return NRelease(NFalse(), to_nnf(formula.operand, False))
-    if isinstance(formula, ltl.Eventually):
+            return ((f.operand, True),), lambda a: NUntil(NTrue(), a)
+        return ((f.operand, False),), lambda a: NRelease(NFalse(), a)
+    if isinstance(f, ltl.Eventually):
         # F f = true U f; !F f = false R !f
         if negate:
-            return NRelease(NFalse(), to_nnf(formula.operand, True))
-        return NUntil(NTrue(), to_nnf(formula.operand, False))
-    if isinstance(formula, ltl.And):
-        cls = NOr if negate else NAnd
-        return cls(to_nnf(formula.left, negate), to_nnf(formula.right, negate))
-    if isinstance(formula, ltl.Or):
-        cls = NAnd if negate else NOr
-        return cls(to_nnf(formula.left, negate), to_nnf(formula.right, negate))
-    if isinstance(formula, ltl.Implies):
-        cls = NAnd if negate else NOr
-        return cls(to_nnf(formula.left, not negate), to_nnf(formula.right, negate))
-    if isinstance(formula, ltl.Xor):
+            return ((f.operand, True),), lambda a: NRelease(NFalse(), a)
+        return ((f.operand, False),), lambda a: NUntil(NTrue(), a)
+    if isinstance(f, ltl.And):
+        return ((f.left, negate), (f.right, negate)), NOr if negate else NAnd
+    if isinstance(f, ltl.Or):
+        return ((f.left, negate), (f.right, negate)), NAnd if negate else NOr
+    if isinstance(f, ltl.Implies):
+        return ((f.left, not negate), (f.right, negate)), NAnd if negate else NOr
+    if isinstance(f, ltl.Xor):
         # a xor b = (a & !b) | (!a & b); the negation is the biconditional.
-        a, b = formula.left, formula.right
-        if negate:
-            return NOr(
-                NAnd(to_nnf(a, False), to_nnf(b, False)),
-                NAnd(to_nnf(a, True), to_nnf(b, True)),
-            )
-        return NOr(
-            NAnd(to_nnf(a, False), to_nnf(b, True)),
-            NAnd(to_nnf(a, True), to_nnf(b, False)),
-        )
-    raise TypeError(f"untranslatable formula {formula!r}")
+        a, b = f.left, f.right
+        parts = ((a, False), (b, not negate), (a, True), (b, negate))
+        return parts, lambda p, q, r, s: NOr(NAnd(p, q), NAnd(r, s))
+    raise TypeError(f"untranslatable formula {f!r}")
 
 
-def _until_subformulas(formula: NnfFormula) -> list[NUntil]:
-    out: list[NUntil] = []
+def to_nnf(formula: ltl.Formula, negate: bool = False) -> NnfFormula:
+    """Rewrite into NNF, optionally negating on the way down. Each distinct
+    (subformula object, polarity) is translated once and its result
+    shared."""
+    done: dict[tuple[int, bool], NnfFormula] = {}
+    stack = [(formula, negate)]
+    while stack:
+        f, neg = stack[-1]
+        if (id(f), neg) in done:
+            stack.pop()
+            continue
+        parts, build = _nnf_rule(f, neg)
+        pending = [p for p in parts if (id(p[0]), p[1]) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        done[id(f), neg] = build(*(done[id(p), n] for p, n in parts))
+    return done[id(formula), negate]
 
-    def walk(f: NnfFormula) -> None:
-        if isinstance(f, NUntil):
-            if f not in out:
-                out.append(f)
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (NAnd, NOr, NRelease)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, NNext):
-            walk(f.operand)
 
-    walk(formula)
-    return out
+# --- interning -----------------------------------------------------------
+
+# Kind codes are numbered in the order of the classes' names, which is the
+# order in which their reprs compare.
+_AND, _FALSE, _LIT, _NEXT, _OR, _RELEASE, _TRUE, _UNTIL = range(8)
+_KIND = {
+    NAnd: _AND,
+    NFalse: _FALSE,
+    NLit: _LIT,
+    NNext: _NEXT,
+    NOr: _OR,
+    NRelease: _RELEASE,
+    NTrue: _TRUE,
+    NUntil: _UNTIL,
+}
+_BINARY = (_AND, _OR, _RELEASE, _UNTIL)
+
+
+class _Interned:
+    """A formula's distinct subformulas as ints, children before parents.
+
+    For subformula i: kind[i] is its kind code; left[i]/right[i] are the
+    ids of its operands (NNext keeps its operand in left), -1 if absent;
+    literal[i] is (atom, negated) for literals.
+    """
+
+    def __init__(self, formula: NnfFormula):
+        self.kind: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.literal: dict[int, tuple[str, bool]] = {}
+        ids: dict[tuple, int] = {}
+        seen: dict[int, int] = {}  # id(object) -> subformula id
+        stack = [formula]
+        while stack:
+            f = stack[-1]
+            if id(f) in seen:
+                stack.pop()
+                continue
+            kind = _KIND.get(type(f))
+            if kind is None:
+                raise TypeError(f"unexpandable formula {f!r}")
+            children = ()
+            if kind == _NEXT:
+                children = (f.operand,)
+            elif kind in _BINARY:
+                children = (f.left, f.right)
+            pending = [c for c in children if id(c) not in seen]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            operands = [seen[id(c)] for c in children] + [-1, -1]
+            key = (kind, f.atom, f.negated) if kind == _LIT else (kind, *operands[:2])
+            index = ids.get(key)
+            if index is None:
+                index = ids[key] = len(self.kind)
+                self.kind.append(kind)
+                self.left.append(operands[0])
+                self.right.append(operands[1])
+                if kind == _LIT:
+                    self.literal[index] = (f.atom, f.negated)
+            seen[id(f)] = index
+        self.root = seen[id(formula)]
+        self.complement = {
+            i: ids.get((_LIT, atom, not negated), -1)
+            for i, (atom, negated) in self.literal.items()
+        }
+
+    def repr_ranks(self) -> list[int]:
+        """rank[i] < rank[j] exactly when repr(i) < repr(j), computed
+        without building a repr.
+
+        Reprs are prefix-free, so two of the same kind compare as their
+        operands do, left first, and a literal by repr(atom), then
+        negated. Subformulas are placed one height at a time: the operands
+        of every key compared at height h are already ranked, below h.
+        """
+        kind, left, right, literal = self.kind, self.left, self.right, self.literal
+        height = [0] * len(kind)
+        for i, k in enumerate(kind):
+            if k in _BINARY:
+                height[i] = 1 + max(height[left[i]], height[right[i]])
+            elif k == _NEXT:
+                height[i] = 1 + height[left[i]]
+        levels: list[list[int]] = [[] for _ in range(max(height) + 1)]
+        for i, h in enumerate(height):
+            levels[h].append(i)
+
+        rank: dict[int, int] = {}
+
+        def key(i: int) -> tuple:
+            k = kind[i]
+            if k == _LIT:
+                atom, negated = literal[i]
+                return (k, repr(atom), negated)
+            if k == _NEXT:
+                return (k, rank[left[i]])
+            if k in _BINARY:
+                return (k, rank[left[i]], rank[right[i]])
+            return (k,)
+
+        order: list[int] = []
+        for level in levels:
+            merged: list[int] = []
+            lo = 0
+            for i in sorted(level, key=key):
+                at = bisect_left(order, key(i), lo, key=key)
+                merged += order[lo:at]
+                merged.append(i)
+                lo = at
+            merged += order[lo:]
+            order = merged
+            rank = dict(zip(order, range(len(order))))
+        return [rank[i] for i in range(len(kind))]
+
+    def until_subformulas(self) -> list[int]:
+        """The U-subformulas in order of first occurrence, pre-order and
+        left to right."""
+        kind, left, right = self.kind, self.left, self.right
+        out: list[int] = []
+        seen: set[int] = set()
+        stack = [self.root]
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            if kind[i] == _UNTIL:
+                out.append(i)
+            if kind[i] in _BINARY:
+                stack.append(right[i])
+            if kind[i] in _BINARY or kind[i] == _NEXT:
+                stack.append(left[i])
+        return out
 
 
 # --- tableau construction ------------------------------------------------
 
 _INIT = -1  # synthetic incoming marker for initial automaton states
-
-
-@dataclass
-class _Node:
-    id: int
-    incoming: set[int]
-    new: list[NnfFormula]
-    old: set[NnfFormula]
-    nxt: set[NnfFormula]
 
 
 @dataclass(frozen=True)
@@ -180,97 +312,101 @@ class BuchiAutomaton:
         return self.states[state_id].literals
 
 
-def _formula_key(f: NnfFormula) -> str:
-    return repr(f)
-
-
 def build_automaton(formula: NnfFormula) -> BuchiAutomaton:
     """Tableau expansion of an NNF formula into a generalized Buchi
-    automaton accepting exactly the formula's models."""
-    counter = [0]
-    nodes: list[_Node] = []
+    automaton accepting exactly the formula's models.
 
-    def fresh(incoming: set[int], new: list[NnfFormula], old: set[NnfFormula], nxt: set[NnfFormula]) -> _Node:
-        counter[0] += 1
-        return _Node(counter[0], set(incoming), list(new), set(old), set(nxt))
+    A pending node is (id, source, new, old, next): the one node it was
+    created from (every node has a single source until merged), the
+    obligations still to process in order, and the processed and
+    next-step obligations. A split pushes its second half before its
+    first, so nodes get the ids a depth-first expansion gives them. A
+    complete node's next obligations seed its successor in repr order.
+    """
+    table = _Interned(formula)
+    kind, left, right = table.kind, table.left, table.right
+    complement, rank = table.complement, table.repr_ranks()
 
-    def expand(node: _Node) -> None:
-        if not node.new:
-            for existing in nodes:
-                if existing.old == node.old and existing.nxt == node.nxt:
-                    existing.incoming |= node.incoming
-                    return
-            nodes.append(node)
-            expand(fresh({node.id}, sorted(node.nxt, key=_formula_key), set(), set()))
-            return
-        f = node.new.pop(0)
-        if f in node.old:
-            expand(node)
-            return
-        if isinstance(f, NTrue):
-            expand(node)
-            return
-        if isinstance(f, NFalse):
-            return
-        if isinstance(f, NLit):
-            if NLit(f.atom, not f.negated) in node.old:
-                return
-            node.old.add(f)
-            expand(node)
-            return
-        if isinstance(f, NAnd):
-            node.old.add(f)
-            for part in (f.left, f.right):
-                if part not in node.old and part not in node.new:
-                    node.new.append(part)
-            expand(node)
-            return
-        if isinstance(f, NNext):
-            node.old.add(f)
-            node.nxt.add(f.operand)
-            expand(node)
-            return
-        if isinstance(f, NOr):
-            first = fresh(node.incoming, node.new + [f.left], node.old | {f}, node.nxt)
-            second = fresh(node.incoming, node.new + [f.right], node.old | {f}, node.nxt)
-            expand(first)
-            expand(second)
-            return
-        if isinstance(f, NUntil):
-            first = fresh(node.incoming, node.new + [f.left], node.old | {f}, node.nxt | {f})
-            second = fresh(node.incoming, node.new + [f.right], node.old | {f}, node.nxt)
-            expand(first)
-            expand(second)
-            return
-        if isinstance(f, NRelease):
-            first = fresh(node.incoming, node.new + [f.right], node.old | {f}, node.nxt | {f})
-            second = fresh(node.incoming, node.new + [f.left, f.right], node.old | {f}, node.nxt)
-            expand(first)
-            expand(second)
-            return
-        raise TypeError(f"unexpandable formula {f!r}")
+    nodes: list[tuple[int, set[int], frozenset[int], frozenset[int]]] = []
+    complete: dict[tuple[frozenset[int], frozenset[int]], set[int]] = {}
+    counter = 1
+    stack = [(counter, _INIT, [table.root], set(), set())]
+    while stack:
+        node_id, source, new, old, nxt = stack.pop()
+        # `new` may grow while it is walked; the walk then reaches the
+        # added obligations too.
+        for i, f in enumerate(new, 1):
+            if f in old:
+                continue
+            k = kind[f]
+            if k == _TRUE:
+                continue
+            if k == _FALSE:
+                break
+            if k == _LIT:
+                if complement[f] in old:
+                    break
+                old.add(f)
+                continue
+            if k == _AND:
+                old.add(f)
+                for part in (left[f], right[f]):
+                    if part not in old and part not in new[i:]:
+                        new.append(part)
+                continue
+            if k == _NEXT:
+                old.add(f)
+                nxt.add(left[f])
+                continue
+            # Disjunctive: U is right | (left & X U), R is right & (left | X R).
+            # This node ends here, so one half may take over its sets.
+            rest = new[i:]
+            old.add(f)
+            if k == _OR:
+                first = (rest + [left[f]], nxt)
+                second = (rest + [right[f]], set(nxt))
+            elif k == _UNTIL:
+                first = (rest + [left[f]], nxt | {f})
+                second = (rest + [right[f]], nxt)
+            else:
+                first = (rest + [right[f]], nxt | {f})
+                second = (rest + [left[f], right[f]], nxt)
+            stack.append((counter + 2, source, second[0], set(old), second[1]))
+            stack.append((counter + 1, source, first[0], old, first[1]))
+            counter += 2
+            break
+        else:
+            key = (frozenset(old), frozenset(nxt))
+            incoming = complete.get(key)
+            if incoming is not None:
+                incoming.add(source)
+                continue
+            incoming = complete[key] = {source}
+            nodes.append((node_id, incoming, *key))
+            counter += 1
+            stack.append((counter, node_id, sorted(nxt, key=rank.__getitem__), set(), set()))
 
-    expand(fresh({_INIT}, [formula], set(), set()))
-
-    states = []
-    for node in nodes:
-        literals = tuple(
-            sorted((f.atom, f.negated) for f in node.old if isinstance(f, NLit))
+    states = [
+        BuchiState(
+            node_id,
+            tuple(sorted(table.literal[f] for f in old if f in table.literal)),
         )
-        states.append(BuchiState(node.id, literals))
-    initial = [n.id for n in nodes if _INIT in n.incoming]
-    transitions: dict[int, list[int]] = {n.id: [] for n in nodes}
-    for node in nodes:
-        for source in sorted(node.incoming):
-            if source != _INIT and source in transitions:
-                transitions[source].append(node.id)
-    acceptance = []
-    for until in _until_subformulas(formula):
-        acceptance.append(
-            frozenset(
-                n.id for n in nodes if until not in n.old or until.right in n.old
-            )
+        for node_id, _, old, _ in nodes
+    ]
+    initial = [node_id for node_id, incoming, _, _ in nodes if _INIT in incoming]
+    transitions: dict[int, list[int]] = {node_id: [] for node_id, _, _, _ in nodes}
+    for node_id, incoming, _, _ in nodes:
+        for source in incoming:
+            if source != _INIT:
+                transitions[source].append(node_id)
+    acceptance = [
+        frozenset(
+            node_id
+            for node_id, _, old, _ in nodes
+            if until not in old or right[until] in old
         )
+        for until in table.until_subformulas()
+    ]
     return BuchiAutomaton(
         states,
         initial,

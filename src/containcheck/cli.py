@@ -3,7 +3,9 @@ reporting into one pipeline.
 
 Exit codes: 0 success (for `check`: containment holds), 1 a property is
 violated, 2 operational error (unreadable input, invalid model, cyclic
-high-level model, atom mismatch, missing external tool, engine divergence).
+high-level model, atom mismatch, missing external tool, engine divergence)
+or internal error (any other exception), so a crash never reads as a
+verdict.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ def main(argv: list[str] | None = None) -> int:
         nusmv.OutputParseError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

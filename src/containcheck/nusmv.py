@@ -8,6 +8,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -59,25 +60,19 @@ def detect(path_override: str | None = None) -> ToolInfo | None:
     """Locate the external checker: explicit override, then the NUSMV
     environment variable, then the system path. Absence is data, not an
     error."""
-    candidates = []
-    if path_override:
-        candidates.append(path_override)
-    elif os.environ.get(ENV_VAR):
-        candidates.append(os.environ[ENV_VAR])
-    else:
-        for name in ("NuSMV", "nusmv"):
-            found = shutil.which(name)
-            if found:
-                candidates.append(found)
-                break
-    for candidate in candidates:
-        resolved = shutil.which(candidate) or (
-            candidate if os.path.isfile(candidate) and os.access(candidate, os.X_OK) else None
-        )
-        if resolved is None:
-            return None
-        return ToolInfo(resolved, _probe_version(resolved))
-    return None
+    path = _locate(path_override)
+    if path is None:
+        return None
+    return ToolInfo(path, _probe_version(path))
+
+
+def _locate(path_override: str | None) -> str | None:
+    candidate = path_override or os.environ.get(ENV_VAR)
+    if not candidate:
+        return shutil.which("NuSMV") or shutil.which("nusmv")
+    return shutil.which(candidate) or (
+        candidate if os.path.isfile(candidate) and os.access(candidate, os.X_OK) else None
+    )
 
 
 def _probe_version(path: str) -> str:
@@ -99,8 +94,8 @@ def run_check(
     """Write the module to a temp file, run the external checker on it, and
     return its stdout. Raises ToolNotFound, ToolRunError on nonzero exit,
     and ToolRunError on timeout."""
-    info = detect(path_override)
-    if info is None:
+    path = _locate(path_override)
+    if path is None:
         raise ToolNotFound("no NuSMV binary found (override, NUSMV env var, PATH)")
     with tempfile.NamedTemporaryFile(
         "w", suffix=".smv", delete=False, encoding="utf-8"
@@ -108,22 +103,31 @@ def run_check(
         handle.write(smv_text)
         temp_path = handle.name
     try:
-        try:
-            proc = subprocess.run(
-                [info.path, temp_path],
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise ToolRunError(f"external checker timed out after {timeout}s") from exc
+        # A session of its own lets the timeout kill the tool's children
+        # too; one left alive would hold the pipes open past the timeout.
+        with subprocess.Popen(
+            [path, temp_path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired as exc:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.communicate()
+                raise ToolRunError(f"external checker timed out after {timeout}s") from exc
         if proc.returncode != 0:
             raise ToolRunError(
                 f"external checker exited with {proc.returncode}",
-                stdout=proc.stdout,
-                stderr=proc.stderr,
+                stdout=stdout,
+                stderr=stderr,
             )
-        return proc.stdout
+        return stdout
     finally:
         os.unlink(temp_path)
 

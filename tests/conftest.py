@@ -1,6 +1,6 @@
-"""Shared fixtures: the order-processing models, their systems, and a
-seeded generator of random well-formed acyclic models for the
-property-based suites."""
+"""Shared fixtures: the order-processing models, their systems, a seeded
+generator of random well-formed acyclic models for the property-based
+suites, fork/decision model families, and random formulas."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from containcheck import ltl
 from containcheck.ingest import load_model
 from containcheck.model import (
     ActivityModel,
@@ -159,6 +160,61 @@ def random_digraph(seed: int, max_nodes: int = 12) -> ActivityModel:
     for _ in range(rng.randint(0, 2 * n)):
         edges.append(Edge(rng.choice(names), rng.choice(names)))
     return ActivityModel("RandomDigraph", nodes, edges)
+
+
+def fork_model(width: int) -> ActivityModel:
+    """I -> fork into B0..B(width-1) -> join -> F."""
+    branches = [f"B{i}" for i in range(width)]
+    nodes = [Node("I", NodeKind.INITIAL), Node("K", NodeKind.FORK)]
+    nodes += [Node(b, NodeKind.ACTION) for b in branches]
+    nodes += [Node("J", NodeKind.JOIN), Node("F_end", NodeKind.FINAL)]
+    edges = [Edge("I", "K")] + [Edge("K", b) for b in branches]
+    edges += [Edge(b, "J") for b in branches] + [Edge("J", "F_end")]
+    return ActivityModel(f"Fork{width}", nodes, edges)
+
+
+def decision_model(k: int) -> ActivityModel:
+    """I -> A -> k-way decision into B0..B(k-1) -> merge -> Z -> F."""
+    branches = [f"B{i}" for i in range(k)]
+    nodes = [Node("I", NodeKind.INITIAL), Node("A", NodeKind.ACTION)]
+    nodes += [Node("D", NodeKind.DECISION)] + [Node(b, NodeKind.ACTION) for b in branches]
+    nodes += [Node("M", NodeKind.MERGE), Node("Z", NodeKind.ACTION), Node("F_end", NodeKind.FINAL)]
+    edges = [Edge("I", "A"), Edge("A", "D")] + [Edge("D", b) for b in branches]
+    edges += [Edge(b, "M") for b in branches] + [Edge("M", "Z"), Edge("Z", "F_end")]
+    return ActivityModel(f"Decision{k}", nodes, edges)
+
+
+def fork_of_decisions_model(k: int) -> ActivityModel:
+    """I -> S -> fork into k branches Pi -> decision Di between Xi -> Wi
+    and Yi -> merge Mi; the merges join, then E -> F."""
+    nodes = [Node("I", NodeKind.INITIAL), Node("S", NodeKind.ACTION), Node("K", NodeKind.FORK)]
+    edges = [Edge("I", "S"), Edge("S", "K")]
+    for i in range(k):
+        p, d, x, w, y, m = (f"{c}{i}" for c in "PDXWYM")
+        nodes += [Node(p, NodeKind.ACTION), Node(d, NodeKind.DECISION)]
+        nodes += [Node(n, NodeKind.ACTION) for n in (x, w, y)] + [Node(m, NodeKind.MERGE)]
+        edges += [Edge("K", p), Edge(p, d), Edge(d, x), Edge(x, w), Edge(w, m)]
+        edges += [Edge(d, y), Edge(y, m), Edge(m, "J")]
+    nodes += [Node("J", NodeKind.JOIN), Node("E", NodeKind.ACTION), Node("F_end", NodeKind.FINAL)]
+    edges += [Edge("J", "E"), Edge("E", "F_end")]
+    return ActivityModel(f"ForkOfDecisions{k}", nodes, edges)
+
+
+def random_formula(rng: random.Random, atoms: list[str], depth: int):
+    """Arbitrary formula over the atoms, at most `depth` operators deep."""
+    if depth == 0 or rng.random() < 0.3:
+        draw = rng.random()
+        if draw < 0.8:
+            return ltl.Atom(rng.choice(atoms))
+        return ltl.TrueConst() if draw < 0.9 else ltl.FalseConst()
+    if rng.random() < 0.5:
+        unary = rng.choice([ltl.Not, ltl.Always, ltl.Eventually, ltl.Next])
+        return unary(random_formula(rng, atoms, depth - 1))
+    op = rng.choice([ltl.And, ltl.Or, ltl.Xor, ltl.Implies])
+    return op(
+        random_formula(rng, atoms, depth - 1),
+        random_formula(rng, atoms, depth - 1),
+    )
 
 
 def lasso_violates(formula, lasso) -> bool:

@@ -1,0 +1,261 @@
+"""Tableau construction: every automaton field against a reference copy of
+the straightforward recursive construction, plus size and depth."""
+
+from __future__ import annotations
+
+import random
+import sys
+from dataclasses import dataclass
+
+import pytest
+
+from conftest import (
+    HIGH,
+    LOW_SAT,
+    decision_model,
+    fork_model,
+    fork_of_decisions_model,
+    random_formula,
+)
+from containcheck import ltl
+from containcheck.automaton import (
+    BuchiAutomaton,
+    BuchiState,
+    NAnd,
+    NFalse,
+    NLit,
+    NNext,
+    NnfFormula,
+    NOr,
+    NRelease,
+    NTrue,
+    NUntil,
+    automaton_for_negation,
+)
+from containcheck.ingest import load_model
+
+# --- reference construction ----------------------------------------------
+# Recursive NNF translation and tableau expansion, formulas as frozen
+# dataclasses compared by value, complete nodes merged by a linear scan,
+# next obligations ordered by repr. Slow and stack-bound, but each step
+# reads like the textbook construction.
+
+
+def reference_to_nnf(formula: ltl.Formula, negate: bool = False) -> NnfFormula:
+    if isinstance(formula, ltl.Atom):
+        return NLit(formula.name, negate)
+    if isinstance(formula, ltl.TrueConst):
+        return NFalse() if negate else NTrue()
+    if isinstance(formula, ltl.FalseConst):
+        return NTrue() if negate else NFalse()
+    if isinstance(formula, ltl.Not):
+        return reference_to_nnf(formula.operand, not negate)
+    if isinstance(formula, ltl.Next):
+        return NNext(reference_to_nnf(formula.operand, negate))
+    if isinstance(formula, ltl.Always):
+        if negate:
+            return NUntil(NTrue(), reference_to_nnf(formula.operand, True))
+        return NRelease(NFalse(), reference_to_nnf(formula.operand, False))
+    if isinstance(formula, ltl.Eventually):
+        if negate:
+            return NRelease(NFalse(), reference_to_nnf(formula.operand, True))
+        return NUntil(NTrue(), reference_to_nnf(formula.operand, False))
+    if isinstance(formula, ltl.And):
+        cls = NOr if negate else NAnd
+        return cls(reference_to_nnf(formula.left, negate), reference_to_nnf(formula.right, negate))
+    if isinstance(formula, ltl.Or):
+        cls = NAnd if negate else NOr
+        return cls(reference_to_nnf(formula.left, negate), reference_to_nnf(formula.right, negate))
+    if isinstance(formula, ltl.Implies):
+        cls = NAnd if negate else NOr
+        return cls(reference_to_nnf(formula.left, not negate), reference_to_nnf(formula.right, negate))
+    if isinstance(formula, ltl.Xor):
+        a, b = formula.left, formula.right
+        if negate:
+            return NOr(
+                NAnd(reference_to_nnf(a, False), reference_to_nnf(b, False)),
+                NAnd(reference_to_nnf(a, True), reference_to_nnf(b, True)),
+            )
+        return NOr(
+            NAnd(reference_to_nnf(a, False), reference_to_nnf(b, True)),
+            NAnd(reference_to_nnf(a, True), reference_to_nnf(b, False)),
+        )
+    raise TypeError(f"untranslatable formula {formula!r}")
+
+
+def _reference_untils(formula: NnfFormula) -> list[NUntil]:
+    out: list[NUntil] = []
+
+    def walk(f: NnfFormula) -> None:
+        if isinstance(f, NUntil):
+            if f not in out:
+                out.append(f)
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, (NAnd, NOr, NRelease)):
+            walk(f.left)
+            walk(f.right)
+        elif isinstance(f, NNext):
+            walk(f.operand)
+
+    walk(formula)
+    return out
+
+
+_INIT = -1
+
+
+@dataclass
+class _Node:
+    id: int
+    incoming: set[int]
+    new: list[NnfFormula]
+    old: set[NnfFormula]
+    nxt: set[NnfFormula]
+
+
+def reference_build(formula: NnfFormula) -> BuchiAutomaton:
+    counter = [0]
+    nodes: list[_Node] = []
+
+    def fresh(incoming, new, old, nxt) -> _Node:
+        counter[0] += 1
+        return _Node(counter[0], set(incoming), list(new), set(old), set(nxt))
+
+    def expand(node: _Node) -> None:
+        if not node.new:
+            for existing in nodes:
+                if existing.old == node.old and existing.nxt == node.nxt:
+                    existing.incoming |= node.incoming
+                    return
+            nodes.append(node)
+            expand(fresh({node.id}, sorted(node.nxt, key=repr), set(), set()))
+            return
+        f = node.new.pop(0)
+        if f in node.old or isinstance(f, NTrue):
+            expand(node)
+            return
+        if isinstance(f, NFalse):
+            return
+        if isinstance(f, NLit):
+            if NLit(f.atom, not f.negated) in node.old:
+                return
+            node.old.add(f)
+            expand(node)
+            return
+        if isinstance(f, NAnd):
+            node.old.add(f)
+            for part in (f.left, f.right):
+                if part not in node.old and part not in node.new:
+                    node.new.append(part)
+            expand(node)
+            return
+        if isinstance(f, NNext):
+            node.old.add(f)
+            node.nxt.add(f.operand)
+            expand(node)
+            return
+        if isinstance(f, NOr):
+            first = fresh(node.incoming, node.new + [f.left], node.old | {f}, node.nxt)
+            second = fresh(node.incoming, node.new + [f.right], node.old | {f}, node.nxt)
+        elif isinstance(f, NUntil):
+            first = fresh(node.incoming, node.new + [f.left], node.old | {f}, node.nxt | {f})
+            second = fresh(node.incoming, node.new + [f.right], node.old | {f}, node.nxt)
+        else:
+            first = fresh(node.incoming, node.new + [f.right], node.old | {f}, node.nxt | {f})
+            second = fresh(node.incoming, node.new + [f.left, f.right], node.old | {f}, node.nxt)
+        expand(first)
+        expand(second)
+
+    expand(fresh({_INIT}, [formula], set(), set()))
+
+    states = [
+        BuchiState(n.id, tuple(sorted((f.atom, f.negated) for f in n.old if isinstance(f, NLit))))
+        for n in nodes
+    ]
+    initial = [n.id for n in nodes if _INIT in n.incoming]
+    transitions: dict[int, list[int]] = {n.id: [] for n in nodes}
+    for node in nodes:
+        for source in sorted(node.incoming):
+            if source != _INIT:
+                transitions[source].append(node.id)
+    acceptance = [
+        frozenset(n.id for n in nodes if until not in n.old or until.right in n.old)
+        for until in _reference_untils(formula)
+    ]
+    return BuchiAutomaton(
+        states, initial, {k: tuple(sorted(v)) for k, v in transitions.items()}, acceptance
+    )
+
+
+# --- comparison ----------------------------------------------------------
+
+
+def fields(auto: BuchiAutomaton) -> tuple:
+    """Every field, with dict order included."""
+    return (
+        list(auto.states.items()),
+        auto.initial,
+        list(auto.transitions.items()),
+        auto.acceptance,
+    )
+
+
+def assert_matches_reference(formula: ltl.Formula) -> None:
+    expected = reference_build(reference_to_nnf(formula, negate=True))
+    assert fields(automaton_for_negation(formula)) == fields(expected), ltl.render_formula(formula)
+
+
+def property_formulas(model) -> list[ltl.Formula]:
+    return [
+        prop.formula
+        for mode in ("always", "simultaneous")
+        for prop in ltl.generate_properties(model, join_mode=mode)
+    ]
+
+
+@pytest.mark.parametrize("path", [HIGH, LOW_SAT], ids=lambda path: path.name)
+def test_fixture_properties_match_reference(path):
+    # The low-level unsat fixture loops, so it yields no properties.
+    for formula in property_formulas(load_model(str(path))):
+        assert_matches_reference(formula)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [decision_model(k) for k in range(2, 6)]
+    + [fork_model(w) for w in range(2, 9)]
+    + [fork_of_decisions_model(k) for k in range(2, 4)],
+    ids=lambda model: model.name,
+)
+def test_high_model_properties_match_reference(model):
+    for formula in property_formulas(model):
+        assert_matches_reference(formula)
+
+
+def test_random_formulas_match_reference():
+    for seed in range(400):
+        rng = random.Random(seed)
+        formula = random_formula(rng, ["a", "b", "c"], rng.randint(1, 5))
+        assert_matches_reference(formula)
+        assert_matches_reference(ltl.Not(formula))
+
+
+def test_seven_way_decision_size():
+    # The reference needs about 48 s here, so only the size is pinned.
+    (decision,) = [
+        prop.formula
+        for prop in ltl.generate_properties(decision_model(7))
+        if prop.primitive is ltl.Primitive.DECISION
+    ]
+    assert len(automaton_for_negation(decision).states) == 9222
+
+
+def test_formula_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    nested: ltl.Formula = ltl.Atom("b")
+    for _ in range(depth):
+        nested = ltl.Next(nested)
+    auto = automaton_for_negation(ltl.Always(ltl.Implies(ltl.Atom("a"), nested)))
+    # One state per pending X step, plus the initial and the accepting sink.
+    assert len(auto.states) == depth + 3

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from conftest import lasso_violates, random_valid_model
+from conftest import lasso_violates, random_formula, random_valid_model
 from containcheck.checker import (
     UnknownAtomError,
     Verdict,
@@ -198,27 +199,6 @@ class TestOracle:
 
     def test_arbitrary_formula_agreement(self):
         """Agreement is not limited to generated property shapes."""
-        import random
-
-        from containcheck import ltl
-
-        unary = [ltl.Not, ltl.Always, ltl.Eventually, ltl.Next]
-        binary = [ltl.And, ltl.Or, ltl.Xor, ltl.Implies]
-
-        def random_formula(rng, atoms, depth):
-            if depth == 0 or rng.random() < 0.3:
-                draw = rng.random()
-                if draw < 0.8:
-                    return ltl.Atom(rng.choice(atoms))
-                return ltl.TrueConst() if draw < 0.9 else ltl.FalseConst()
-            if rng.random() < 0.5:
-                return rng.choice(unary)(random_formula(rng, atoms, depth - 1))
-            op = rng.choice(binary)
-            return op(
-                random_formula(rng, atoms, depth - 1),
-                random_formula(rng, atoms, depth - 1),
-            )
-
         for seed in range(80):
             rng = random.Random(seed * 7919)
             sys = build_system(generate_smv(random_valid_model(seed)))

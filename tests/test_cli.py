@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 
-from conftest import GOLDEN, HIGH, LOW_SAT, LOW_UNSAT, LOW_UNSAT_JSON
+import pytest
+
+from conftest import GOLDEN, HIGH, LOW_SAT, LOW_UNSAT, LOW_UNSAT_JSON, fork_model
+from containcheck import cli
 from containcheck.cli import main
+from containcheck.ingest import print_dsl
 
 CYCLIC = """\
 model Loop {
@@ -169,6 +173,34 @@ class TestCheck:
         first = capsys.readouterr().out
         run("check", HIGH, LOW_UNSAT)
         assert capsys.readouterr().out == first
+
+    def test_wide_fork_against_itself(self, tmp_path, capsys):
+        # The fork property nests 400 conjuncts: deep enough that a
+        # recursive walk over its automaton overflows the stack.
+        path = tmp_path / "fork400.behavior"
+        path.write_text(print_dsl(fork_model(400)))
+        assert run("check", path, path) == 0
+        assert capsys.readouterr().out.count("is true") == 2
+
+
+class TestInternalError:
+    def test_crash_is_not_a_verdict(self, monkeypatch, capsys):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_check", crash)
+        assert run("check", HIGH, LOW_SAT) == 2
+        assert capsys.readouterr().err == (
+            "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+        )
+
+    def test_interrupt_propagates(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_check", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run("check", HIGH, LOW_SAT)
 
 
 class TestEngineBoth:

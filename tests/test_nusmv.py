@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import stat
+import time
 
 import pytest
 
@@ -118,9 +119,16 @@ class TestRunCheck:
         assert "boom" in info.value.stderr
 
     def test_timeout(self, tmp_path):
-        tool = fake_tool(tmp_path, body="sleep 5")
+        # The tool hangs, and a child it started would leave a mark after
+        # 1 s: a timeout must return on time and kill the child too.
+        late = tmp_path / "late"
+        tool = fake_tool(tmp_path, body=f"(sleep 1; touch {late}) &\nsleep 5")
+        started = time.monotonic()
         with pytest.raises(ToolRunError, match="timed out"):
             run_check("MODULE main\n", timeout=0.2, path_override=tool)
+        assert time.monotonic() - started < 2.0
+        time.sleep(1.5)
+        assert not late.exists()
 
 
 class TestParseOutput:
