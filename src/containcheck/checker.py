@@ -373,12 +373,11 @@ def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdic
         raise OracleError("depth must be positive")
     _check_atoms(sys, prop)
     try:
-        reach = reachable_states(sys, cap=ORACLE_STATE_LIMIT)
+        reachable_states(sys, cap=ORACLE_STATE_LIMIT)
     except StateCapExceeded as exc:
         raise OracleError(
             f"system too large for the oracle (more than {ORACLE_STATE_LIMIT} states)"
         ) from exc
-    del reach
 
     failing: list[tuple[list, list]] = []
 

@@ -136,17 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    path = args.model
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    result = (
-        ingest.parse_json(text) if path.endswith(".json") else ingest.parse_dsl(text, path)
-    )
-    if isinstance(result, list):
-        for error in result:
+    try:
+        model = ingest.load_model(args.model)
+    except ingest.IngestError as exc:
+        for error in exc.errors:
             print(str(error), file=sys.stderr)
         return EXIT_ERROR
-    print(f"{result.name}: valid ({len(result.nodes)} nodes, {len(result.edges)} edges)")
+    print(f"{model.name}: valid ({len(model.nodes)} nodes, {len(model.edges)} edges)")
     return EXIT_OK
 
 
@@ -163,7 +159,7 @@ def cmd_gen_smv(args) -> int:
     if args.embed_ltl:
         high = ingest.load_model(args.embed_ltl)
         properties = ltl.generate_properties(high, join_mode=args.join_mode)
-        text = smv.bundle_check_file(model, properties)
+        text = smv.bundle_check_file(smv.generate_smv(model), properties)
     else:
         text = smv.render_smv(smv.generate_smv(model))
     _write_output(text, args.out)
@@ -177,13 +173,13 @@ def cmd_check(args) -> int:
     high = ingest.load_model(args.high)
     low = ingest.load_model(args.low)
     properties = ltl.generate_properties(high, join_mode=args.join_mode)
+    module = smv.generate_smv(low)
     # Surfaces the atom mismatch before any engine runs, and doubles as the
     # external engine's input.
-    bundle = smv.bundle_check_file(low, properties)
+    bundle = smv.bundle_check_file(module, properties)
 
     internal_verdicts = None
     if args.engine in ("internal", "both"):
-        module = smv.generate_smv(low)
         system = semantics.build_system(module)
         if args.dump_states:
             _dump_states(system, args.cap)

@@ -84,6 +84,7 @@ class Implies(Formula):
 
 
 _UNARY = {Not: "!", Always: "G", Eventually: "F", Next: "X"}
+_BINARY = {And: "&", Or: "|", Xor: "xor", Implies: "->"}
 
 #: Binding strength, tightest first: unary, &, |, xor, ->.
 _PRECEDENCE = {And: 4, Or: 3, Xor: 2, Implies: 1}
@@ -94,13 +95,17 @@ RESERVED_ATOMS = frozenset({"G", "F", "X", "U", "R", "xor", "TRUE", "FALSE"})
 
 def atoms(formula: Formula) -> set[str]:
     """All atom names occurring in the formula."""
-    if isinstance(formula, Atom):
-        return {formula.name}
-    if isinstance(formula, (Not, Always, Eventually, Next)):
-        return atoms(formula.operand)
-    if isinstance(formula, (And, Or, Xor, Implies)):
-        return atoms(formula.left) | atoms(formula.right)
-    return set()
+    out: set[str] = set()
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            out.add(f.name)
+        elif isinstance(f, (Not, Always, Eventually, Next)):
+            stack.append(f.operand)
+        elif isinstance(f, (And, Or, Xor, Implies)):
+            stack += (f.left, f.right)
+    return out
 
 
 def conjoin(parts: list[Formula]) -> Formula:
@@ -136,34 +141,46 @@ def render_formula(formula: Formula) -> str:
     return text
 
 
-def _render(f: Formula, parent_level: int = 0) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, TrueConst):
-        return "TRUE"
-    if isinstance(f, FalseConst):
-        return "FALSE"
-    if type(f) in _UNARY:
-        op = _UNARY[type(f)]
-        inner = f.operand
-        if isinstance(inner, (And, Or, Xor, Implies)):
-            return f"{op} ({_render(inner)})"
-        sep = "" if isinstance(f, Not) else " "
-        return f"{op}{sep}{_render(inner, parent_level=5)}"
-    level = _PRECEDENCE[type(f)]
-    op = {And: "&", Or: "|", Xor: "xor", Implies: "->"}[type(f)]
-    # Left child of a left-associative chain keeps the same level bare; the
-    # right child needs parens at equal level. Implication associates right.
-    if isinstance(f, Implies):
-        left = _render(f.left, level + 1)
-        right = _render(f.right, level)
-    else:
-        left = _render(f.left, level)
-        right = _render(f.right, level + 1)
-    text = f"{left} {op} {right}"
-    if level < parent_level:
-        return f"({text})"
-    return text
+def _render(formula: Formula) -> str:
+    pieces: list[str] = []
+    # Pending work, last first: literal text, or (formula, parent_level).
+    stack: list = [(formula, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        f, parent_level = item
+        if isinstance(f, Atom):
+            pieces.append(f.name)
+        elif isinstance(f, TrueConst):
+            pieces.append("TRUE")
+        elif isinstance(f, FalseConst):
+            pieces.append("FALSE")
+        elif type(f) in _UNARY:
+            op = _UNARY[type(f)]
+            inner = f.operand
+            if isinstance(inner, (And, Or, Xor, Implies)):
+                pieces.append(f"{op} (")
+                stack += (")", (inner, 0))
+            else:
+                pieces.append(op if isinstance(f, Not) else f"{op} ")
+                stack.append((inner, 5))
+        else:
+            level = _PRECEDENCE[type(f)]
+            # Left child of a left-associative chain keeps the same level
+            # bare; the right child needs parens at equal level.
+            # Implication associates right.
+            if isinstance(f, Implies):
+                left_level, right_level = level + 1, level
+            else:
+                left_level, right_level = level, level + 1
+            wrap = level < parent_level
+            if wrap:
+                pieces.append("(")
+                stack.append(")")
+            stack += ((f.right, right_level), f" {_BINARY[type(f)]} ", (f.left, left_level))
+    return "".join(pieces)
 
 
 class LtlSyntaxError(Exception):
@@ -328,7 +345,9 @@ def generate_properties(
     are transparent: template endpoints resolve through chained structural
     nodes to the nearest non-structural ones. Emission order follows a
     depth-first walk from the initial node along declaration-ordered edges,
-    so identical input text always yields the identical property list.
+    so identical input text always yields the identical property list. The
+    walk and the endpoint resolution both run from explicit stacks over the
+    model's edge index, so no model is too deep for them.
 
     join_mode selects the join template: "always" keeps the whole antecedent
     conjunction under G, which is unsatisfiable under pulse semantics and
@@ -350,99 +369,65 @@ def generate_properties(
             "node ids collide with reserved formula tokens: " + ", ".join(bad)
         )
 
-    nodes = {n.id: n for n in model.nodes}
-
-    def is_structural(node_id: str) -> bool:
-        return nodes[node_id].structural
-
-    def resolve_forward(node_id: str) -> list[str]:
-        if not is_structural(node_id):
-            return [node_id]
+    def resolve(node_id: str, forward: bool) -> list[str]:
+        """The nearest non-structural nodes past a structural node, along its
+        edges or against them, in the order a depth-first walk over
+        declaration-ordered edges first meets them."""
+        step = model.outgoing if forward else model.incoming
         out: list[str] = []
-        for e in model.outgoing(node_id):
-            for r in resolve_forward(e.target):
-                if r not in out:
-                    out.append(r)
-        return out
-
-    def resolve_backward(node_id: str) -> list[str]:
-        if not is_structural(node_id):
-            return [node_id]
-        out: list[str] = []
-        for e in model.incoming(node_id):
-            for r in resolve_backward(e.source):
-                if r not in out:
-                    out.append(r)
-        return out
-
-    def incoming_sources(node_id: str) -> list[str]:
-        sources: list[str] = []
-        for e in model.incoming(node_id):
-            for r in resolve_backward(e.source):
-                if r not in sources:
-                    sources.append(r)
-        return sources
-
-    def antecedent(node_id: str) -> Formula:
-        return conjoin([Atom(s) for s in incoming_sources(node_id)])
-
-    def branch_targets(node_id: str) -> list[str]:
-        out: list[str] = []
-        for e in model.outgoing(node_id):
-            for r in resolve_forward(e.target):
-                if r not in out:
-                    out.append(r)
+        seen = {node_id}
+        stack = [iter(step(node_id))]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                continue
+            other = e.target if forward else e.source
+            if other in seen:
+                continue
+            seen.add(other)
+            if model.node(other).structural:
+                stack.append(iter(step(other)))
+            else:
+                out.append(other)
         return out
 
     def structural_property(node_id: str) -> GeneratedProperty:
-        kind = nodes[node_id].kind
-        if kind is NodeKind.FORK:
-            f = Always(
-                Implies(antecedent(node_id), conjoin([Eventually(Atom(b)) for b in branch_targets(node_id)]))
-            )
-            return GeneratedProperty(f, node_id, Primitive.FORK)
-        if kind is NodeKind.DECISION:
-            f = Always(
-                Implies(antecedent(node_id), xor_chain([Eventually(Atom(b)) for b in branch_targets(node_id)]))
-            )
-            return GeneratedProperty(f, node_id, Primitive.DECISION)
-        if kind is NodeKind.JOIN:
-            inputs = conjoin([Atom(s) for s in incoming_sources(node_id)])
-            follow = conjoin([Eventually(Atom(b)) for b in branch_targets(node_id)])
-            if join_mode == "always":
-                f: Formula = Implies(Always(inputs), follow)
-            else:
-                f = Always(Implies(inputs, follow))
-            return GeneratedProperty(f, node_id, Primitive.JOIN)
-        # merge
-        sources = disjoin([Atom(s) for s in incoming_sources(node_id)])
-        follow = conjoin([Eventually(Atom(b)) for b in branch_targets(node_id)])
-        return GeneratedProperty(Always(Implies(sources, follow)), node_id, Primitive.MERGE)
+        kind = model.node(node_id).kind
+        sources = [Atom(s) for s in resolve(node_id, forward=False)]
+        follow = [Eventually(Atom(b)) for b in resolve(node_id, forward=True)]
+        trigger = disjoin(sources) if kind is NodeKind.MERGE else conjoin(sources)
+        outcome = xor_chain(follow) if kind is NodeKind.DECISION else conjoin(follow)
+        if kind is NodeKind.JOIN and join_mode == "always":
+            f: Formula = Implies(Always(trigger), outcome)
+        else:
+            f = Always(Implies(trigger, outcome))
+        return GeneratedProperty(f, node_id, Primitive(kind.value))
 
     properties: list[GeneratedProperty] = []
-    emitted: set[str] = set()
-    visited: set[str] = set()
     initial = next(n for n in model.nodes if n.kind is NodeKind.INITIAL)
-
-    def visit(node_id: str) -> None:
-        visited.add(node_id)
-        for e in model.outgoing(node_id):
-            if is_structural(e.target):
-                if e.target not in emitted:
-                    emitted.add(e.target)
-                    properties.append(structural_property(e.target))
-            elif not is_structural(node_id):
-                properties.append(
-                    GeneratedProperty(
-                        Always(Implies(Atom(e.source), Eventually(Atom(e.target)))),
-                        e.source,
-                        Primitive.SEQUENCE,
-                    )
+    visited = {initial.id}
+    stack = [iter(model.outgoing(initial.id))]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        first_visit = e.target not in visited
+        if model.node(e.target).structural:
+            if first_visit:
+                properties.append(structural_property(e.target))
+        elif not model.node(e.source).structural:
+            properties.append(
+                GeneratedProperty(
+                    Always(Implies(Atom(e.source), Eventually(Atom(e.target)))),
+                    e.source,
+                    Primitive.SEQUENCE,
                 )
-            if e.target not in visited:
-                visit(e.target)
-
-    visit(initial.id)
+            )
+        if first_visit:
+            visited.add(e.target)
+            stack.append(iter(model.outgoing(e.target)))
     return properties
 
 

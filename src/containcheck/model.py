@@ -77,6 +77,12 @@ class ActivityModel:
     guard labels so that printing, reparsing, and SMV generation all see the
     same edge data. Mixed guarded/unguarded branches are left untouched for
     validate() to report.
+
+    Construction also indexes the graph once: nodes by id (the first of a
+    duplicated id wins) and each id's outgoing and incoming edges in
+    declaration order, so node, has_node, outgoing and incoming are
+    lookups. The index is not a field: equality, hashing and repr see only
+    name, nodes and edges.
     """
 
     name: str
@@ -84,41 +90,52 @@ class ActivityModel:
     edges: tuple[Edge, ...]
 
     def __init__(self, name: str, nodes, edges) -> None:
+        nodes = tuple(nodes)
+        edges = self._label_decisions(nodes, tuple(edges))
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", tuple(self._label_decisions(nodes, edges)))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        by_id: dict[str, Node] = {}
+        for n in nodes:
+            by_id.setdefault(n.id, n)
+        out: dict[str, list[Edge]] = {}
+        into: dict[str, list[Edge]] = {}
+        for e in edges:
+            out.setdefault(e.source, []).append(e)
+            into.setdefault(e.target, []).append(e)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
+        object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
 
     @staticmethod
-    def _label_decisions(nodes, edges) -> list[Edge]:
-        decisions = {n.id for n in nodes if n.kind is NodeKind.DECISION}
+    def _label_decisions(nodes, edges) -> tuple[Edge, ...]:
+        guarded = {e.source for e in edges if e.guard is not None}
         unlabeled = {
-            d
-            for d in decisions
-            if all(e.guard is None for e in edges if e.source == d)
+            n.id for n in nodes if n.kind is NodeKind.DECISION and n.id not in guarded
         }
-        out = []
-        for e in edges:
-            if e.source in unlabeled:
-                e = Edge(e.source, e.target, synthetic_guard(e.source, e.target))
-            out.append(e)
-        return out
+        return tuple(
+            Edge(e.source, e.target, synthetic_guard(e.source, e.target))
+            if e.source in unlabeled
+            else e
+            for e in edges
+        )
 
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ValueError(f"unknown node {node_id!r} in model {self.name!r}")
+        try:
+            return self._by_id[node_id]
+        except KeyError:
+            raise ValueError(f"unknown node {node_id!r} in model {self.name!r}") from None
 
     def has_node(self, node_id: str) -> bool:
-        return any(n.id == node_id for n in self.nodes)
+        return node_id in self._by_id
 
     def outgoing(self, node_id: str) -> tuple[Edge, ...]:
         self.node(node_id)
-        return tuple(e for e in self.edges if e.source == node_id)
+        return self._out.get(node_id, ())
 
     def incoming(self, node_id: str) -> tuple[Edge, ...]:
         self.node(node_id)
-        return tuple(e for e in self.edges if e.target == node_id)
+        return self._in.get(node_id, ())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import shutil
 import signal
 import subprocess
 import tempfile
-from dataclasses import dataclass
 
 from . import ltl
 from .checker import Lasso, Verdict
@@ -32,12 +31,6 @@ _NOISE_PREFIXES = (
 )
 
 
-@dataclass(frozen=True)
-class ToolInfo:
-    path: str
-    version: str
-
-
 class ToolNotFound(Exception):
     pass
 
@@ -56,34 +49,16 @@ class OutputParseError(Exception):
         self.line = line
 
 
-def detect(path_override: str | None = None) -> ToolInfo | None:
-    """Locate the external checker: explicit override, then the NUSMV
+def locate(path_override: str | None = None) -> str | None:
+    """Path of the external checker: explicit override, then the NUSMV
     environment variable, then the system path. Absence is data, not an
     error."""
-    path = _locate(path_override)
-    if path is None:
-        return None
-    return ToolInfo(path, _probe_version(path))
-
-
-def _locate(path_override: str | None) -> str | None:
     candidate = path_override or os.environ.get(ENV_VAR)
     if not candidate:
         return shutil.which("NuSMV") or shutil.which("nusmv")
     return shutil.which(candidate) or (
         candidate if os.path.isfile(candidate) and os.access(candidate, os.X_OK) else None
     )
-
-
-def _probe_version(path: str) -> str:
-    try:
-        proc = subprocess.run(
-            [path, "-help"], capture_output=True, text=True, timeout=10
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    match = re.search(r"NuSMV\s+([\w.]+)", proc.stdout + proc.stderr)
-    return match.group(1) if match else "unknown"
 
 
 def run_check(
@@ -94,7 +69,7 @@ def run_check(
     """Write the module to a temp file, run the external checker on it, and
     return its stdout. Raises ToolNotFound, ToolRunError on nonzero exit,
     and ToolRunError on timeout."""
-    path = _locate(path_override)
+    path = locate(path_override)
     if path is None:
         raise ToolNotFound("no NuSMV binary found (override, NUSMV env var, PATH)")
     with tempfile.NamedTemporaryFile(

@@ -59,8 +59,7 @@ class TransitionSystem:
         self._scalars = {
             d.name: d.scalar_values for d in module.vars if not d.is_boolean
         }
-        order = {name: i for i, name in enumerate(self.var_names)}
-        self._assigns = tuple(sorted(module.assigns, key=lambda a: order[a.var]))
+        self._assigns = tuple(sorted(module.assigns, key=lambda a: self._index[a.var]))
         if tuple(a.var for a in self._assigns) != self.var_names:
             raise ValueError("module must assign every declared variable exactly once")
         self.initial: State = tuple(

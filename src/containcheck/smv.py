@@ -269,11 +269,11 @@ def render_smv(module: SmvModule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bundle_check_file(low_model: ActivityModel, high_properties) -> str:
-    """Single .smv text combining the low-level module with the high-level
+def bundle_check_file(module: SmvModule, high_properties) -> str:
+    """Single .smv text combining the low-level model's compiled module
+    (from generate_smv; its own specs are replaced) with the high-level
     LTLSPEC lines; raises AtomMismatchError when a property atom names no
-    boolean variable of the low-level model."""
-    module = generate_smv(low_model)
+    boolean variable of the module."""
     booleans = module.boolean_vars
     missing: list[str] = []
     for prop in high_properties:

@@ -1,6 +1,6 @@
 """Shared fixtures: the order-processing models, their systems, a seeded
 generator of random well-formed acyclic models for the property-based
-suites, fork/decision model families, and random formulas."""
+suites, chain/fork/decision model families, and random formulas."""
 
 from __future__ import annotations
 
@@ -160,6 +160,14 @@ def random_digraph(seed: int, max_nodes: int = 12) -> ActivityModel:
     for _ in range(rng.randint(0, 2 * n)):
         edges.append(Edge(rng.choice(names), rng.choice(names)))
     return ActivityModel("RandomDigraph", nodes, edges)
+
+
+def chain_model(n: int) -> ActivityModel:
+    """I -> A0 -> ... -> A(n-1) -> F."""
+    ids = ["I"] + [f"A{i}" for i in range(n)] + ["F_end"]
+    nodes = [Node("I", NodeKind.INITIAL)] + [Node(i, NodeKind.ACTION) for i in ids[1:-1]]
+    nodes.append(Node("F_end", NodeKind.FINAL))
+    return ActivityModel(f"Chain{n}", nodes, [Edge(a, b) for a, b in zip(ids, ids[1:])])
 
 
 def fork_model(width: int) -> ActivityModel:

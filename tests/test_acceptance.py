@@ -324,7 +324,7 @@ def test_criterion_8_round_trips():
     print(f"criterion 8 (round-trips over fixtures and {len(RANDOM_SUITE_SEEDS)} models): PASS")
 
 
-@pytest.mark.skipif(nusmv.detect() is None, reason="no NuSMV binary detected")
+@pytest.mark.skipif(nusmv.locate() is None, reason="no NuSMV binary detected")
 def test_criterion_9_differential(capsys):
     for path, expected in ((LOW_UNSAT, 1), (LOW_SAT, 0)):
         code = main(["check", str(HIGH), str(path), "--engine", "both"])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import GOLDEN, HIGH, LOW_SAT, LOW_UNSAT, LOW_UNSAT_JSON, fork_model
+from conftest import GOLDEN, HIGH, LOW_SAT, LOW_UNSAT, LOW_UNSAT_JSON, chain_model, fork_model
 from containcheck import cli
 from containcheck.cli import main
 from containcheck.ingest import print_dsl
@@ -49,6 +49,15 @@ class TestValidate:
         assert run("validate", tmp_path / "missing.behavior") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_each_error_on_its_own_line(self, tmp_path, capsys):
+        path = tmp_path / "two.behavior"
+        path.write_text("model M { initial I; action A; final F; I -> F; A -> F }")
+        assert run("validate", path) == 2
+        assert capsys.readouterr().err == (
+            f"{path}:1:29: A: action requires at least 1 incoming edge\n"
+            f"{path}:1:29: A: unreachable from the initial node\n"
+        )
+
 
 class TestGenLtl:
     def test_high_fixture_matches_golden(self, tmp_path):
@@ -78,6 +87,16 @@ class TestGenLtl:
         assert run("gen-ltl", HIGH, "--join-mode", "simultaneous") == 0
         out = capsys.readouterr().out
         assert "LTLSPEC G (ShipOrder & ChargeOrder -> F ReplyOrderStatus)" in out
+
+    def test_long_chain(self, tmp_path, capsys):
+        # 1500 actions: a walk that recursed once per node would overflow.
+        path = tmp_path / "chain1500.behavior"
+        path.write_text(print_dsl(chain_model(1500)))
+        assert run("gen-ltl", path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1501
+        assert lines[0] == "LTLSPEC G (I -> F A0)"
+        assert lines[-1] == "LTLSPEC G (A1499 -> F F_end)"
 
 
 class TestGenSmv:
@@ -175,10 +194,11 @@ class TestCheck:
         assert capsys.readouterr().out == first
 
     def test_wide_fork_against_itself(self, tmp_path, capsys):
-        # The fork property nests 400 conjuncts: deep enough that a
-        # recursive walk over its automaton overflows the stack.
-        path = tmp_path / "fork400.behavior"
-        path.write_text(print_dsl(fork_model(400)))
+        # The fork property nests 1000 conjuncts, deeper than the recursion
+        # limit: a recursive walk over its automaton, its atoms or its
+        # rendering overflows the stack.
+        path = tmp_path / "fork1000.behavior"
+        path.write_text(print_dsl(fork_model(1000)))
         assert run("check", path, path) == 0
         assert capsys.readouterr().out.count("is true") == 2
 

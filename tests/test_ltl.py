@@ -1,12 +1,26 @@
-"""Property generation from the five templates, rendering, and parsing."""
+"""Property generation from the five templates, rendering, and parsing;
+generation and rendering also against reference copies of the recursive
+versions."""
 
 from __future__ import annotations
+
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_valid_model
+from conftest import (
+    HIGH,
+    LOW_SAT,
+    decision_model,
+    fork_model,
+    fork_of_decisions_model,
+    random_formula,
+    random_valid_model,
+)
+from containcheck.ingest import load_model
 from containcheck.ingest import parse_dsl
 from containcheck.ltl import (
     Always,
@@ -20,16 +34,20 @@ from containcheck.ltl import (
     Next,
     Not,
     Or,
+    GeneratedProperty,
     Primitive,
     TrueConst,
     Xor,
     atoms,
+    conjoin,
+    disjoin,
     generate_properties,
     parse_ltl,
     render_formula,
     render_ltlspec,
+    xor_chain,
 )
-from containcheck.model import STRUCTURAL_KINDS
+from containcheck.model import STRUCTURAL_KINDS, NodeKind
 
 EXPECTED_HIGH_LINES = [
     "LTLSPEC G (InitialNode1 -> F VerifyCreditCard)",
@@ -222,3 +240,169 @@ class TestRoundTrip:
         model = random_valid_model(seed)
         for prop in generate_properties(model):
             assert parse_ltl(render_formula(prop.formula)) == prop.formula
+
+
+# --- reference generation and rendering ----------------------------------
+# The recursive generator and renderer as they were before both walks moved
+# to explicit stacks: edges rescanned from model.edges on every step,
+# endpoints resolved by recursion. Stack-bound, but each step reads like
+# the templates. Inputs are valid acyclic models only.
+
+
+def reference_generate(model, join_mode: str = "always") -> list[GeneratedProperty]:
+    nodes = {n.id: n for n in model.nodes}
+
+    def outgoing(node_id):
+        return [e for e in model.edges if e.source == node_id]
+
+    def incoming(node_id):
+        return [e for e in model.edges if e.target == node_id]
+
+    def resolve_forward(node_id):
+        if not nodes[node_id].structural:
+            return [node_id]
+        out = []
+        for e in outgoing(node_id):
+            for r in resolve_forward(e.target):
+                if r not in out:
+                    out.append(r)
+        return out
+
+    def resolve_backward(node_id):
+        if not nodes[node_id].structural:
+            return [node_id]
+        out = []
+        for e in incoming(node_id):
+            for r in resolve_backward(e.source):
+                if r not in out:
+                    out.append(r)
+        return out
+
+    def structural_property(node_id):
+        kind = nodes[node_id].kind
+        sources = [Atom(s) for s in resolve_backward(node_id)]
+        follow = [Eventually(Atom(b)) for b in resolve_forward(node_id)]
+        if kind is NodeKind.FORK:
+            f = Always(Implies(conjoin(sources), conjoin(follow)))
+            return GeneratedProperty(f, node_id, Primitive.FORK)
+        if kind is NodeKind.DECISION:
+            f = Always(Implies(conjoin(sources), xor_chain(follow)))
+            return GeneratedProperty(f, node_id, Primitive.DECISION)
+        if kind is NodeKind.JOIN:
+            if join_mode == "always":
+                f = Implies(Always(conjoin(sources)), conjoin(follow))
+            else:
+                f = Always(Implies(conjoin(sources), conjoin(follow)))
+            return GeneratedProperty(f, node_id, Primitive.JOIN)
+        f = Always(Implies(disjoin(sources), conjoin(follow)))
+        return GeneratedProperty(f, node_id, Primitive.MERGE)
+
+    properties = []
+    emitted = set()
+    visited = set()
+
+    def visit(node_id):
+        visited.add(node_id)
+        for e in outgoing(node_id):
+            if nodes[e.target].structural:
+                if e.target not in emitted:
+                    emitted.add(e.target)
+                    properties.append(structural_property(e.target))
+            elif not nodes[node_id].structural:
+                sequence = Always(Implies(Atom(e.source), Eventually(Atom(e.target))))
+                properties.append(GeneratedProperty(sequence, e.source, Primitive.SEQUENCE))
+            if e.target not in visited:
+                visit(e.target)
+
+    initial = next(n for n in model.nodes if n.kind is NodeKind.INITIAL)
+    visit(initial.id)
+    return properties
+
+
+_REFERENCE_OPS = {And: "&", Or: "|", Xor: "xor", Implies: "->"}
+_REFERENCE_LEVELS = {And: 4, Or: 3, Xor: 2, Implies: 1}
+_REFERENCE_UNARY = {Not: "!", Always: "G", Eventually: "F", Next: "X"}
+
+
+def reference_render(formula) -> str:
+    def render(f, parent_level=0):
+        if isinstance(f, Atom):
+            return f.name
+        if isinstance(f, TrueConst):
+            return "TRUE"
+        if isinstance(f, FalseConst):
+            return "FALSE"
+        if type(f) in _REFERENCE_UNARY:
+            op = _REFERENCE_UNARY[type(f)]
+            if isinstance(f.operand, (And, Or, Xor, Implies)):
+                return f"{op} ({render(f.operand)})"
+            sep = "" if isinstance(f, Not) else " "
+            return f"{op}{sep}{render(f.operand, 5)}"
+        level = _REFERENCE_LEVELS[type(f)]
+        if isinstance(f, Implies):
+            left, right = render(f.left, level + 1), render(f.right, level)
+        else:
+            left, right = render(f.left, level), render(f.right, level + 1)
+        text = f"{left} {_REFERENCE_OPS[type(f)]} {right}"
+        return f"({text})" if level < parent_level else text
+
+    text = render(formula)
+    return f"({text})" if isinstance(formula, Implies) else text
+
+
+def listed(properties) -> list[tuple]:
+    return [(render_formula(p.formula), p.origin, p.primitive) for p in properties]
+
+
+def assert_generation_matches_reference(model) -> None:
+    for mode in ("always", "simultaneous"):
+        expected = listed(reference_generate(model, mode))
+        assert listed(generate_properties(model, join_mode=mode)) == expected, (model.name, mode)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("path", [HIGH, LOW_SAT], ids=lambda path: path.name)
+    def test_fixtures(self, path):
+        assert_generation_matches_reference(load_model(str(path)))
+
+    @pytest.mark.parametrize(
+        "model",
+        [fork_model(w) for w in range(2, 9)]
+        + [decision_model(k) for k in range(2, 7)]
+        + [fork_of_decisions_model(k) for k in range(2, 5)],
+        ids=lambda model: model.name,
+    )
+    def test_model_families(self, model):
+        assert_generation_matches_reference(model)
+
+    def test_random_models(self):
+        for seed in range(200):
+            assert_generation_matches_reference(random_valid_model(seed))
+
+    def test_random_formulas_render_alike(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            formula = random_formula(rng, ["a", "b", "c"], rng.randint(1, 6))
+            assert render_formula(formula) == reference_render(formula)
+            assert render_formula(Not(formula)) == reference_render(Not(formula))
+
+
+class TestDeepFormulas:
+    """Conjunction chains deeper than the recursion limit. Results are
+    compared as strings and sets: dataclass equality still recurses."""
+
+    DEPTH = sys.getrecursionlimit() + 100
+    NAMES = [f"a{i}" for i in range(DEPTH + 1)]
+
+    def test_left_nested_chain(self):
+        formula = conjoin([Atom(name) for name in self.NAMES])
+        assert render_formula(formula) == " & ".join(self.NAMES)
+        assert atoms(formula) == set(self.NAMES)
+
+    def test_right_nested_chain(self):
+        formula = Atom(self.NAMES[-1])
+        for name in reversed(self.NAMES[:-1]):
+            formula = And(Atom(name), formula)
+        expected = " & (".join(self.NAMES[:-1]) + f" & {self.NAMES[-1]}" + ")" * (self.DEPTH - 1)
+        assert render_formula(formula) == expected
+        assert atoms(formula) == set(self.NAMES)

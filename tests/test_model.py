@@ -242,3 +242,43 @@ class TestAdjacency:
         for node in high_model.nodes:
             assert successors(high_model, node.id) == successors(again, node.id)
             assert predecessors(high_model, node.id) == predecessors(again, node.id)
+
+
+class TestIndex:
+    """The adjacency index against the linear scans it replaced."""
+
+    MESSY = model_of(
+        [
+            ("I", NodeKind.INITIAL),
+            ("A", NodeKind.ACTION),
+            ("A", NodeKind.FINAL),
+            ("F_node", NodeKind.FINAL),
+        ],
+        [("I", "A"), ("A", "Ghost"), ("Ghost", "F_node"), ("A", "F_node"), ("I", "F_node")],
+    )
+
+    def test_lookups_match_scans(self):
+        model = self.MESSY
+        for node_id in ("I", "A", "F_node", "Ghost", "Nope"):
+            first = next((n for n in model.nodes if n.id == node_id), None)
+            assert model.has_node(node_id) == (first is not None)
+            if first is None:
+                for lookup in (model.node, model.outgoing, model.incoming):
+                    with pytest.raises(ValueError, match="unknown node"):
+                        lookup(node_id)
+                continue
+            assert model.node(node_id) is first
+            assert model.outgoing(node_id) == tuple(e for e in model.edges if e.source == node_id)
+            assert model.incoming(node_id) == tuple(e for e in model.edges if e.target == node_id)
+
+    def test_first_duplicate_wins(self):
+        assert self.MESSY.node("A").kind is NodeKind.ACTION
+        assert [e.target for e in self.MESSY.outgoing("A")] == ["Ghost", "F_node"]
+
+    def test_index_is_not_a_field(self, high_model):
+        from containcheck.ingest import parse_dsl, print_dsl
+
+        again = parse_dsl(print_dsl(high_model), "again")
+        assert again == high_model and hash(again) == hash(high_model)
+        assert repr(again) == repr(high_model)
+        assert "_out" not in repr(high_model)

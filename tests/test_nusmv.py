@@ -13,7 +13,7 @@ from containcheck.nusmv import (
     OutputParseError,
     ToolNotFound,
     ToolRunError,
-    detect,
+    locate,
     parse_output,
     run_check,
 )
@@ -74,30 +74,22 @@ def fake_tool(tmp_path, name="NuSMV", body='echo "output"'):
 
 class TestDetect:
     def test_override_to_missing_file(self):
-        assert detect("/nonexistent/no-such-tool") is None
+        assert locate("/nonexistent/no-such-tool") is None
 
     def test_nothing_installed(self, monkeypatch, tmp_path):
         monkeypatch.delenv("NUSMV", raising=False)
         monkeypatch.setenv("PATH", str(tmp_path))
-        assert detect() is None
-
-    def test_override_with_version_banner(self, tmp_path):
-        tool = fake_tool(tmp_path, body='echo "*** This is NuSMV 2.6.0 (compiled) ***"')
-        info = detect(tool)
-        assert info is not None
-        assert info.version == "2.6.0"
-
-    def test_version_unknown_when_banner_missing(self, tmp_path):
-        tool = fake_tool(tmp_path, body="echo usage")
-        info = detect(tool)
-        assert info is not None
-        assert info.version == "unknown"
+        assert locate() is None
 
     def test_env_variable_lookup(self, monkeypatch, tmp_path):
-        tool = fake_tool(tmp_path, body='echo "NuSMV 9.9"')
+        tool = fake_tool(tmp_path)
         monkeypatch.setenv("NUSMV", tool)
-        info = detect()
-        assert info is not None and info.path == tool
+        assert locate() == tool
+
+    def test_explicit_override_wins(self, monkeypatch, tmp_path):
+        tool = fake_tool(tmp_path)
+        monkeypatch.setenv("NUSMV", "/nonexistent/no-such-tool")
+        assert locate(tool) == tool
 
 
 class TestRunCheck:

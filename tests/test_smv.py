@@ -169,7 +169,7 @@ class TestRender:
 class TestBundle:
     def test_bundle_combines_module_and_specs(self, high_model, low_unsat_model):
         props = generate_properties(high_model)
-        text = bundle_check_file(low_unsat_model, props)
+        text = bundle_check_file(generate_smv(low_unsat_model), props)
         lines = text.splitlines()
         specs = [ln for ln in lines if ln.startswith("LTLSPEC")]
         assert len(specs) == 6
@@ -177,18 +177,19 @@ class TestBundle:
         assert text.startswith(render_smv(generate_smv(low_unsat_model)).rstrip("\n"))
 
     def test_bundle_on_satisfied_pair(self, high_model, low_sat_model):
-        assert "LTLSPEC" in bundle_check_file(low_sat_model, generate_properties(high_model))
+        props = generate_properties(high_model)
+        assert "LTLSPEC" in bundle_check_file(generate_smv(low_sat_model), props)
 
     def test_atom_mismatch_lists_missing_names(self, high_model):
         tiny = parse_dsl("model M { initial InitialNode1; final Done; InitialNode1 -> Done }")
         with pytest.raises(AtomMismatchError) as info:
-            bundle_check_file(tiny, generate_properties(high_model))
+            bundle_check_file(generate_smv(tiny), generate_properties(high_model))
         assert "VerifyCreditCard" in info.value.missing
         assert "ShipOrder" in info.value.missing
 
     def test_decision_scalar_is_not_an_atom(self, low_unsat_model):
         with pytest.raises(AtomMismatchError):
-            bundle_check_file(low_unsat_model, [parse_ltl("G (DecisionNode1 -> F ShipOrder)")])
+            bundle_check_file(generate_smv(low_unsat_model), [parse_ltl("G (DecisionNode1 -> F ShipOrder)")])
 
 
 class TestReader:
@@ -199,7 +200,7 @@ class TestReader:
 
     def test_bundle_round_trips(self, high_model, low_sat_model):
         props = generate_properties(high_model)
-        text = bundle_check_file(low_sat_model, props)
+        text = bundle_check_file(generate_smv(low_sat_model), props)
         module = parse_smv(text)
         assert len(module.specs) == 6
         assert render_smv(module) == text
