@@ -1,22 +1,23 @@
 """Translation of temporal formulas into generalized Buchi automata via the
-classic on-the-fly tableau construction.
+classic on-the-fly tableau construction (Gerth, Peled, Vardi, Wolper).
 
-The input formula is first rewritten into negation normal form over
-literals, X, U (until), and R (release); G and F become R/U instances and
-xor/implication expand into and/or. Tableau nodes split disjunctions and
+One pass rewrites the negated formula into negation normal form over
+literals, X, U (until) and R (release): G and F become R/U over TRUE and
+FALSE, xor and implication expand into and/or. The pass writes the normal
+form straight into a table of ints, one entry per distinct subformula,
+with no intermediate formula objects. Tableau nodes split disjunctions and
 unwind U/R one step at a time; fully expanded nodes with identical
 obligations merge. The result is a state-labeled automaton: entering a
 state requires its literals to hold, and one acceptance set per U-formula
 keeps postponed eventualities honest.
 
 Cost tracks the automaton, not the formula's printed size:
-- `to_nnf` shares the translation of a repeated subformula, so an xor
+- the pass translates each (subformula object, polarity) once, so an xor
   chain's normal form is a graph linear in the chain, not a tree
-  exponential in it.
-- `build_automaton` interns each distinct subformula to an int once; the
-  tableau's sets then hold ints, and complete nodes merge through a dict
-  keyed on their (old, next) sets.
-- No walk recurses, so formula depth is bounded by memory only.
+  exponential in it;
+- the tableau's sets hold ints, and complete nodes merge through a dict
+  keyed on their (old, next) sets;
+- no walk recurses, so formula depth is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -27,188 +28,114 @@ from dataclasses import dataclass
 from . import ltl
 
 
-# --- normal form ---------------------------------------------------------
+# --- translation ---------------------------------------------------------
 
-class NnfFormula:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class NTrue(NnfFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class NFalse(NnfFormula):
-    pass
+# The tableau seeds each successor with its next obligations in repr
+# order: the order of their reprs as frozen dataclasses NAnd, NFalse, NLit,
+# NNext, NOr, NRelease, NTrue and NUntil, with fields (left, right), (atom,
+# negated) or (operand). State ids, and so every counterexample, depend on
+# that order. Kind codes follow those class names, so they compare as the
+# reprs' heads do.
+_AND, _FALSE, _LIT, _NEXT, _OR, _RELEASE, _TRUE, _UNTIL = range(8)
+_BINARY = (_AND, _OR, _RELEASE, _UNTIL)
 
 
-@dataclass(frozen=True)
-class NLit(NnfFormula):
-    atom: str
-    negated: bool
-
-
-@dataclass(frozen=True)
-class NAnd(NnfFormula):
-    left: NnfFormula
-    right: NnfFormula
-
-
-@dataclass(frozen=True)
-class NOr(NnfFormula):
-    left: NnfFormula
-    right: NnfFormula
-
-
-@dataclass(frozen=True)
-class NNext(NnfFormula):
-    operand: NnfFormula
-
-
-@dataclass(frozen=True)
-class NUntil(NnfFormula):
-    left: NnfFormula
-    right: NnfFormula
-
-
-@dataclass(frozen=True)
-class NRelease(NnfFormula):
-    left: NnfFormula
-    right: NnfFormula
-
-
-def _nnf_rule(f: ltl.Formula, negate: bool):
-    """One rewriting step: the (subformula, negate) pairs the NNF of
-    `f` (negated if `negate`) is built from, and the builder that takes
-    their NNFs in that order."""
+def _rule(f: ltl.Formula, negate: bool) -> tuple[tuple, object]:
+    """One rewriting step into NNF: the (operand, polarity) parts the
+    NNF of `f` (negated if `negate`) is built from, and a template that
+    builds it. In a template, an int n stands for the n-th part's NNF
+    and a tuple (kind, *operands) for a node of that kind; a literal's
+    operands are its atom and whether it is negated."""
     if isinstance(f, ltl.Atom):
-        return (), lambda: NLit(f.name, negate)
+        return (), (_LIT, f.name, negate)
     if isinstance(f, ltl.TrueConst):
-        return (), NFalse if negate else NTrue
+        return (), (_FALSE if negate else _TRUE,)
     if isinstance(f, ltl.FalseConst):
-        return (), NTrue if negate else NFalse
+        return (), (_TRUE if negate else _FALSE,)
     if isinstance(f, ltl.Not):
-        return ((f.operand, not negate),), lambda a: a
+        return ((f.operand, not negate),), 0
     if isinstance(f, ltl.Next):
-        return ((f.operand, negate),), NNext
-    if isinstance(f, ltl.Always):
-        # G f = false R f; !G f = true U !f
-        if negate:
-            return ((f.operand, True),), lambda a: NUntil(NTrue(), a)
-        return ((f.operand, False),), lambda a: NRelease(NFalse(), a)
-    if isinstance(f, ltl.Eventually):
-        # F f = true U f; !F f = false R !f
-        if negate:
-            return ((f.operand, True),), lambda a: NRelease(NFalse(), a)
-        return ((f.operand, False),), lambda a: NUntil(NTrue(), a)
+        return ((f.operand, negate),), (_NEXT, 0)
+    if isinstance(f, (ltl.Always, ltl.Eventually)):
+        # G f = false R f, !G f = true U !f; F f = true U f, !F f = false R !f.
+        if isinstance(f, ltl.Always) == negate:
+            return ((f.operand, negate),), (_UNTIL, (_TRUE,), 0)
+        return ((f.operand, negate),), (_RELEASE, (_FALSE,), 0)
     if isinstance(f, ltl.And):
-        return ((f.left, negate), (f.right, negate)), NOr if negate else NAnd
+        return ((f.left, negate), (f.right, negate)), (_OR if negate else _AND, 0, 1)
     if isinstance(f, ltl.Or):
-        return ((f.left, negate), (f.right, negate)), NAnd if negate else NOr
+        return ((f.left, negate), (f.right, negate)), (_AND if negate else _OR, 0, 1)
     if isinstance(f, ltl.Implies):
-        return ((f.left, not negate), (f.right, negate)), NAnd if negate else NOr
+        return ((f.left, not negate), (f.right, negate)), (_AND if negate else _OR, 0, 1)
     if isinstance(f, ltl.Xor):
         # a xor b = (a & !b) | (!a & b); the negation is the biconditional.
         a, b = f.left, f.right
         parts = ((a, False), (b, not negate), (a, True), (b, negate))
-        return parts, lambda p, q, r, s: NOr(NAnd(p, q), NAnd(r, s))
+        return parts, (_OR, (_AND, 0, 1), (_AND, 2, 3))
     raise TypeError(f"untranslatable formula {f!r}")
 
 
-def to_nnf(formula: ltl.Formula, negate: bool = False) -> NnfFormula:
-    """Rewrite into NNF, optionally negating on the way down. Each distinct
-    (subformula object, polarity) is translated once and its result
-    shared."""
-    done: dict[tuple[int, bool], NnfFormula] = {}
-    stack = [(formula, negate)]
-    while stack:
-        f, neg = stack[-1]
-        if (id(f), neg) in done:
-            stack.pop()
-            continue
-        parts, build = _nnf_rule(f, neg)
-        pending = [p for p in parts if (id(p[0]), p[1]) not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        done[id(f), neg] = build(*(done[id(p), n] for p, n in parts))
-    return done[id(formula), negate]
-
-
-# --- interning -----------------------------------------------------------
-
-# Kind codes are numbered in the order of the classes' names, which is the
-# order in which their reprs compare.
-_AND, _FALSE, _LIT, _NEXT, _OR, _RELEASE, _TRUE, _UNTIL = range(8)
-_KIND = {
-    NAnd: _AND,
-    NFalse: _FALSE,
-    NLit: _LIT,
-    NNext: _NEXT,
-    NOr: _OR,
-    NRelease: _RELEASE,
-    NTrue: _TRUE,
-    NUntil: _UNTIL,
-}
-_BINARY = (_AND, _OR, _RELEASE, _UNTIL)
-
-
 class _Interned:
-    """A formula's distinct subformulas as ints, children before parents.
+    """The NNF of a formula as ints, children before parents, each
+    distinct subformula once.
 
     For subformula i: kind[i] is its kind code; left[i]/right[i] are the
-    ids of its operands (NNext keeps its operand in left), -1 if absent;
+    ids of its operands (X keeps its operand in left), -1 if absent;
     literal[i] is (atom, negated) for literals.
     """
 
-    def __init__(self, formula: NnfFormula):
+    def __init__(self, formula: ltl.Formula):
         self.kind: list[int] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.literal: dict[int, tuple[str, bool]] = {}
         ids: dict[tuple, int] = {}
-        seen: dict[int, int] = {}  # id(object) -> subformula id
-        stack = [formula]
-        while stack:
-            f = stack[-1]
-            if id(f) in seen:
-                stack.pop()
-                continue
-            kind = _KIND.get(type(f))
-            if kind is None:
-                raise TypeError(f"unexpandable formula {f!r}")
-            children = ()
-            if kind == _NEXT:
-                children = (f.operand,)
-            elif kind in _BINARY:
-                children = (f.left, f.right)
-            pending = [c for c in children if id(c) not in seen]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            operands = [seen[id(c)] for c in children] + [-1, -1]
-            key = (kind, f.atom, f.negated) if kind == _LIT else (kind, *operands[:2])
+
+        def intern(template, parts: list[int]) -> int:
+            if isinstance(template, int):
+                return parts[template]
+            kind = template[0]
+            if kind == _LIT:
+                key, operands = template, []
+            else:
+                operands = [intern(o, parts) for o in template[1:]]
+                key = (kind, *operands)
             index = ids.get(key)
             if index is None:
                 index = ids[key] = len(self.kind)
                 self.kind.append(kind)
+                operands += [-1, -1]
                 self.left.append(operands[0])
                 self.right.append(operands[1])
                 if kind == _LIT:
-                    self.literal[index] = (f.atom, f.negated)
-            seen[id(f)] = index
-        self.root = seen[id(formula)]
+                    self.literal[index] = template[1:]
+            return index
+
+        # Each distinct (subformula object, polarity) is translated once,
+        # so a DAG of shared subformulas stays a DAG.
+        done: dict[tuple[int, bool], int] = {}
+        stack = [(formula, False)]
+        while stack:
+            f, neg = stack[-1]
+            if (id(f), neg) in done:
+                stack.pop()
+                continue
+            parts, template = _rule(f, neg)
+            pending = [p for p in parts if (id(p[0]), p[1]) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            done[id(f), neg] = intern(template, [done[id(p), n] for p, n in parts])
+        self.root = done[id(formula), False]
         self.complement = {
             i: ids.get((_LIT, atom, not negated), -1)
             for i, (atom, negated) in self.literal.items()
         }
 
     def repr_ranks(self) -> list[int]:
-        """rank[i] < rank[j] exactly when repr(i) < repr(j), computed
-        without building a repr.
+        """rank[i] < rank[j] exactly when the repr of subformula i sorts
+        before that of j, computed without building a repr.
 
         Reprs are prefix-free, so two of the same kind compare as their
         operands do, left first, and a literal by repr(atom), then
@@ -312,9 +239,9 @@ class BuchiAutomaton:
         return self.states[state_id].literals
 
 
-def build_automaton(formula: NnfFormula) -> BuchiAutomaton:
-    """Tableau expansion of an NNF formula into a generalized Buchi
-    automaton accepting exactly the formula's models.
+def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
+    """Automaton accepting exactly the words that violate the formula:
+    the tableau expansion of the NNF of its negation.
 
     A pending node is (id, source, new, old, next): the one node it was
     created from (every node has a single source until merged), the
@@ -323,7 +250,7 @@ def build_automaton(formula: NnfFormula) -> BuchiAutomaton:
     first, so nodes get the ids a depth-first expansion gives them. A
     complete node's next obligations seed its successor in repr order.
     """
-    table = _Interned(formula)
+    table = _Interned(ltl.Not(formula))
     kind, left, right = table.kind, table.left, table.right
     complement, rank = table.complement, table.repr_ranks()
 
@@ -414,7 +341,3 @@ def build_automaton(formula: NnfFormula) -> BuchiAutomaton:
         acceptance,
     )
 
-
-def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
-    """Automaton accepting exactly the words that violate the formula."""
-    return build_automaton(to_nnf(formula, negate=True))

@@ -301,59 +301,73 @@ def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
     """Truth of the formula at position 0 of the word prefix . loop^omega,
     by direct evaluation over the lasso's positions (no automaton involved).
 
+    Each subformula object is labeled with its truth at every position
+    once, operands first, in an explicit post-order: time is linear in
+    the formula's size times the lasso's length, and depth is bounded by
+    memory only.
+
     atom_value(state, name) supplies atom truth per state.
     """
     states = list(prefix) + list(loop)
     n = len(states)
     loop_start = len(prefix)
-    cache: dict[ltl.Formula, list[bool]] = {}
-
-    def nxt(i: int) -> int:
-        return i + 1 if i < n - 1 else loop_start
-
-    def reachable(i: int) -> range:
-        return range(min(i, loop_start), n) if i >= loop_start else range(i, n)
-
-    def table(f: ltl.Formula) -> list[bool]:
-        hit = cache.get(f)
-        if hit is not None:
-            return hit
-        if isinstance(f, ltl.Atom):
-            vals = [bool(atom_value(s, f.name)) for s in states]
-        elif isinstance(f, ltl.TrueConst):
-            vals = [True] * n
-        elif isinstance(f, ltl.FalseConst):
-            vals = [False] * n
-        elif isinstance(f, ltl.Not):
-            inner = table(f.operand)
-            vals = [not v for v in inner]
-        elif isinstance(f, ltl.Next):
-            inner = table(f.operand)
-            vals = [inner[nxt(i)] for i in range(n)]
-        elif isinstance(f, ltl.Eventually):
-            inner = table(f.operand)
-            vals = [any(inner[j] for j in reachable(i)) for i in range(n)]
-        elif isinstance(f, ltl.Always):
-            inner = table(f.operand)
-            vals = [all(inner[j] for j in reachable(i)) for i in range(n)]
+    if loop_start == n:
+        raise ValueError("lasso loop must contain at least one state")
+    labels: dict[int, list[bool]] = {}  # id(subformula) -> truth per position
+    stack = [formula]
+    while stack:
+        f = stack[-1]
+        if id(f) in labels:
+            stack.pop()
+            continue
+        if isinstance(f, (ltl.Not, ltl.Next, ltl.Eventually, ltl.Always)):
+            operands = (f.operand,)
         elif isinstance(f, (ltl.And, ltl.Or, ltl.Xor, ltl.Implies)):
-            left, right = table(f.left), table(f.right)
-            if isinstance(f, ltl.And):
-                vals = [a and b for a, b in zip(left, right)]
-            elif isinstance(f, ltl.Or):
-                vals = [a or b for a, b in zip(left, right)]
-            elif isinstance(f, ltl.Xor):
-                vals = [a != b for a, b in zip(left, right)]
-            else:
-                vals = [(not a) or b for a, b in zip(left, right)]
+            operands = (f.left, f.right)
+        else:
+            operands = ()
+        pending = [o for o in operands if id(o) not in labels]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        args = [labels[id(o)] for o in operands]
+        if isinstance(f, ltl.Atom):
+            label = [bool(atom_value(s, f.name)) for s in states]
+        elif isinstance(f, ltl.TrueConst):
+            label = [True] * n
+        elif isinstance(f, ltl.FalseConst):
+            label = [False] * n
+        elif isinstance(f, ltl.Not):
+            label = [not v for v in args[0]]
+        elif isinstance(f, ltl.Next):
+            label = args[0][1:] + [args[0][loop_start]]
+        elif isinstance(f, ltl.Eventually):
+            label = _eventually(args[0], loop_start)
+        elif isinstance(f, ltl.Always):
+            # G f = !F !f
+            label = [not v for v in _eventually([not v for v in args[0]], loop_start)]
+        elif isinstance(f, ltl.And):
+            label = [a and b for a, b in zip(*args)]
+        elif isinstance(f, ltl.Or):
+            label = [a or b for a, b in zip(*args)]
+        elif isinstance(f, ltl.Xor):
+            label = [a != b for a, b in zip(*args)]
+        elif isinstance(f, ltl.Implies):
+            label = [(not a) or b for a, b in zip(*args)]
         else:
             raise TypeError(f"unevaluable formula {f!r}")
-        cache[f] = vals
-        return vals
+        labels[id(f)] = label
+    return labels[id(formula)][0]
 
-    if n == 0:
-        raise ValueError("lasso must contain at least one state")
-    return table(formula)[0]
+
+def _eventually(inner: list[bool], loop_start: int) -> list[bool]:
+    """F over a lasso: a loop position reaches the whole loop, a prefix
+    position itself and every later one."""
+    label = [any(inner[loop_start:])] * len(inner)
+    for i in range(loop_start - 1, -1, -1):
+        label[i] = inner[i] or label[i + 1]
+    return label
 
 
 class OracleError(Exception):
@@ -379,35 +393,71 @@ def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdic
             f"system too large for the oracle (more than {ORACLE_STATE_LIMIT} states)"
         ) from exc
 
-    failing: list[tuple[list, list]] = []
-
-    def explore(path: list) -> bool:
-        """DFS over paths; True once a violating lasso is found."""
-        if len(path) >= depth:
-            return False
-        for succ in sys.successors(path[-1]):
-            for j, earlier in enumerate(path):
-                if earlier == succ:
-                    prefix, loop = path[:j], path[j:]
-                    if evaluate_on_lasso(prop, prefix, loop, sys.atom_value) is False:
-                        failing.append((prefix, loop))
-                        return True
-            path.append(succ)
-            if explore(path):
-                return True
-            path.pop()
-        return False
-
-    explore([sys.initial])
-    if not failing:
+    failing = _first_violating_lasso(sys, prop, depth)
+    if failing is None:
         return Verdict(prop, True)
-    prefix, loop = failing[0]
+    prefix, loop = failing
     lasso = Lasso(
         sys.var_names,
         tuple(_printable(sys, s) for s in prefix),
         tuple(_printable(sys, s) for s in loop),
     )
     return Verdict(prop, False, lasso)
+
+
+def _first_violating_lasso(sys: TransitionSystem, prop: ltl.Formula, depth: int):
+    """Depth first over paths of fewer than `depth` states, successors in
+    order: a successor already on the path closes a lasso at each of its
+    occurrences, earliest first. Returns the first lasso that violates
+    the property as (prefix, loop), or None.
+
+    States are numbered as they are reached, and a word already seen to
+    hold is not evaluated again: past a self-looping sink, every lasso the
+    path closes spells the same word."""
+    number = {sys.initial: 0}
+    states = [sys.initial]
+    path = [0]
+    holding: set[tuple] = set()
+    pending = [iter(sys.successors(sys.initial))] if depth > 1 else []
+    while pending:
+        succ = next(pending[-1], None)  # states are tuples, never None
+        if succ is None:
+            pending.pop()
+            path.pop()
+            continue
+        k = number.setdefault(succ, len(states))
+        if k == len(states):
+            states.append(succ)
+        for j, earlier in enumerate(path):
+            if earlier != k:
+                continue
+            word = _shortest_lasso(path, j)
+            if word in holding:
+                continue
+            prefix = [states[i] for i in path[:j]]
+            loop = [states[i] for i in path[j:]]
+            if not evaluate_on_lasso(prop, prefix, loop, sys.atom_value):
+                return prefix, loop
+            holding.add(word)
+        if len(path) + 1 < depth:
+            path.append(k)
+            pending.append(iter(sys.successors(succ)))
+    return None
+
+
+def _shortest_lasso(path: list[int], j: int) -> tuple[tuple, tuple]:
+    """The word path[:j] . path[j:]^omega as its shortest lasso: the loop
+    cut to its shortest repeating unit, then turned back over the end of
+    the prefix while the prefix ends with the loop's last state. Two
+    lassos spell the same word exactly when these agree."""
+    loop = path[j:]
+    n = len(loop)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and loop[p:] == loop[:-p])
+    r = 0
+    while r < j and path[j - 1 - r] == loop[-1 - r % p]:
+        r += 1
+    cut = p - r % p
+    return tuple(path[: j - r]), tuple(loop[cut:p] + loop[:cut])
 
 
 # --- reporting -----------------------------------------------------------

@@ -18,27 +18,64 @@ from conftest import (
     random_formula,
 )
 from containcheck import ltl
-from containcheck.automaton import (
-    BuchiAutomaton,
-    BuchiState,
-    NAnd,
-    NFalse,
-    NLit,
-    NNext,
-    NnfFormula,
-    NOr,
-    NRelease,
-    NTrue,
-    NUntil,
-    automaton_for_negation,
-)
+from containcheck.automaton import BuchiAutomaton, BuchiState, automaton_for_negation
 from containcheck.ingest import load_model
 
 # --- reference construction ----------------------------------------------
 # Recursive NNF translation and tableau expansion, formulas as frozen
 # dataclasses compared by value, complete nodes merged by a linear scan,
 # next obligations ordered by repr. Slow and stack-bound, but each step
-# reads like the textbook construction.
+# reads like the textbook construction. The class names and fields set the
+# repr order, which numbers the states, so they must stay as they are.
+
+
+class NnfFormula:
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class NTrue(NnfFormula):
+    pass
+
+
+@dataclass(frozen=True)
+class NFalse(NnfFormula):
+    pass
+
+
+@dataclass(frozen=True)
+class NLit(NnfFormula):
+    atom: str
+    negated: bool
+
+
+@dataclass(frozen=True)
+class NAnd(NnfFormula):
+    left: NnfFormula
+    right: NnfFormula
+
+
+@dataclass(frozen=True)
+class NOr(NnfFormula):
+    left: NnfFormula
+    right: NnfFormula
+
+
+@dataclass(frozen=True)
+class NNext(NnfFormula):
+    operand: NnfFormula
+
+
+@dataclass(frozen=True)
+class NUntil(NnfFormula):
+    left: NnfFormula
+    right: NnfFormula
+
+
+@dataclass(frozen=True)
+class NRelease(NnfFormula):
+    left: NnfFormula
+    right: NnfFormula
 
 
 def reference_to_nnf(formula: ltl.Formula, negate: bool = False) -> NnfFormula:
@@ -237,6 +274,22 @@ def test_random_formulas_match_reference():
     for seed in range(400):
         rng = random.Random(seed)
         formula = random_formula(rng, ["a", "b", "c"], rng.randint(1, 5))
+        assert_matches_reference(formula)
+        assert_matches_reference(ltl.Not(formula))
+
+
+def test_shared_subformula_objects_match_reference():
+    # One object reached along several paths, under one polarity or both:
+    # the translation memoizes on (object identity, polarity).
+    a = ltl.Atom("a")
+    x = ltl.Or(a, ltl.Eventually(ltl.Next(a)))
+    for formula in [
+        ltl.And(x, x),
+        ltl.Not(ltl.Not(x)),
+        ltl.And(a, ltl.Not(a)),
+        ltl.Xor(x, ltl.Not(x)),
+        ltl.Implies(ltl.Always(x), ltl.Xor(x, ltl.Eventually(x))),
+    ]:
         assert_matches_reference(formula)
         assert_matches_reference(ltl.Not(formula))
 

@@ -7,22 +7,28 @@ import random
 
 import pytest
 
-from conftest import lasso_violates, random_formula, random_valid_model
+from conftest import LOW_UNSAT, lasso_violates, random_formula, random_valid_model
+from containcheck import ltl
 from containcheck.checker import (
+    Lasso,
     UnknownAtomError,
     Verdict,
+    _shortest_lasso,
     check,
     check_all,
     evaluate_on_lasso,
     oracle_check,
     render_report,
 )
-from containcheck.ingest import parse_dsl
+from containcheck.ingest import load_model, parse_dsl
 from containcheck.ltl import generate_properties, parse_ltl, render_formula
 from containcheck.semantics import StateCapExceeded, build_system, reachable_states
 from containcheck.smv import generate_smv
 
 MINIMAL = "model M { initial I; final F_node; I -> F_node }"
+TWO_LOOPS = """model L { initial I; merge M; action A; decision D; action B; action C;
+    merge N; final F_end; I -> M; M -> A; A -> D; D -> B [left]; D -> C [right];
+    D -> F_end [done]; B -> N; C -> N; N -> M }"""
 
 
 def system_of(text: str):
@@ -35,6 +41,91 @@ def raw_state(sys, lasso, row):
     for name, text in zip(lasso.var_names, row):
         values.append(text == "TRUE" if sys.is_boolean_var(name) else text)
     return tuple(values)
+
+
+# --- reference evaluator and oracle --------------------------------------
+# The straightforward recursive evaluation, cached by formula value, and the
+# recursive path search. Stack-bound and quadratic in the lasso, but each
+# step reads like the semantics.
+
+
+def reference_evaluate(formula, prefix, loop, atom_value) -> bool:
+    states = list(prefix) + list(loop)
+    n = len(states)
+    loop_start = len(prefix)
+    cache: dict = {}
+
+    def nxt(i: int) -> int:
+        return i + 1 if i < n - 1 else loop_start
+
+    def reachable(i: int) -> range:
+        return range(min(i, loop_start), n) if i >= loop_start else range(i, n)
+
+    def table(f) -> list[bool]:
+        hit = cache.get(f)
+        if hit is not None:
+            return hit
+        if isinstance(f, ltl.Atom):
+            vals = [bool(atom_value(s, f.name)) for s in states]
+        elif isinstance(f, ltl.TrueConst):
+            vals = [True] * n
+        elif isinstance(f, ltl.FalseConst):
+            vals = [False] * n
+        elif isinstance(f, ltl.Not):
+            vals = [not v for v in table(f.operand)]
+        elif isinstance(f, ltl.Next):
+            inner = table(f.operand)
+            vals = [inner[nxt(i)] for i in range(n)]
+        elif isinstance(f, ltl.Eventually):
+            inner = table(f.operand)
+            vals = [any(inner[j] for j in reachable(i)) for i in range(n)]
+        elif isinstance(f, ltl.Always):
+            inner = table(f.operand)
+            vals = [all(inner[j] for j in reachable(i)) for i in range(n)]
+        else:
+            left, right = table(f.left), table(f.right)
+            if isinstance(f, ltl.And):
+                vals = [a and b for a, b in zip(left, right)]
+            elif isinstance(f, ltl.Or):
+                vals = [a or b for a, b in zip(left, right)]
+            elif isinstance(f, ltl.Xor):
+                vals = [a != b for a, b in zip(left, right)]
+            else:
+                vals = [(not a) or b for a, b in zip(left, right)]
+        cache[f] = vals
+        return vals
+
+    return table(formula)[0]
+
+
+def reference_oracle(sys, prop, depth: int) -> Verdict:
+    failing = []
+
+    def explore(path: list) -> bool:
+        if len(path) >= depth:
+            return False
+        for succ in sys.successors(path[-1]):
+            for j, earlier in enumerate(path):
+                if earlier == succ:
+                    prefix, loop = path[:j], path[j:]
+                    if reference_evaluate(prop, prefix, loop, sys.atom_value) is False:
+                        failing.append((prefix, loop))
+                        return True
+            path.append(succ)
+            if explore(path):
+                return True
+            path.pop()
+        return False
+
+    explore([sys.initial])
+    if not failing:
+        return Verdict(prop, True)
+    prefix, loop = failing[0]
+
+    def printable(states):
+        return tuple(tuple(value for _, value in sys.state_items(s)) for s in states)
+
+    return Verdict(prop, False, Lasso(sys.var_names, printable(prefix), printable(loop)))
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +252,8 @@ class TestEvaluateOnLasso:
         loop = [{"p": True}, {"p": False}]
         assert evaluate_on_lasso(parse_ltl("X p"), [], loop, self.atom) is False
         assert evaluate_on_lasso(parse_ltl("X X p"), [], loop, self.atom) is True
+        # From the last state, X reads the loop's first state, not the word's.
+        assert self.eval("G X b") is True
 
     def test_infinitely_often_on_two_state_loop(self):
         loop = [{"p": True}, {"p": False}]
@@ -170,6 +263,29 @@ class TestEvaluateOnLasso:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             evaluate_on_lasso(parse_ltl("G a"), [], [], self.atom)
+
+    def test_formula_deeper_than_the_recursion_limit(self):
+        conjunction = ltl.conjoin([ltl.Atom(f"a{i}") for i in range(1500)])
+        state = {f"a{i}": i != 700 for i in range(1500)}
+        formula = ltl.Always(conjunction)
+        assert evaluate_on_lasso(formula, [], [state], self.atom) is False
+        assert evaluate_on_lasso(ltl.Not(formula), [], [state], self.atom) is True
+
+    def test_random_formulas_match_reference(self):
+        atoms = ["a", "b", "c"]
+        for seed in range(400):
+            rng = random.Random(seed)
+            formula = random_formula(rng, atoms, rng.randint(2, 6))
+            for _ in range(8):
+                prefix, loop = (
+                    [{a: rng.random() < 0.5 for a in atoms} for _ in range(size)]
+                    for size in (rng.randint(0, 4), rng.randint(1, 5))
+                )
+                for f in (formula, ltl.Not(formula)):
+                    expected = reference_evaluate(f, prefix, loop, self.atom)
+                    assert evaluate_on_lasso(f, prefix, loop, self.atom) is expected, (
+                        render_formula(f), prefix, loop
+                    )
 
 
 class TestOracle:
@@ -210,6 +326,56 @@ class TestOracle:
                     check(sys, formula).holds
                     == oracle_check(sys, formula, depth).holds
                 ), render_formula(formula)
+
+    def test_first_violation_matches_reference(self):
+        """Same visiting order as the recursive search: the same verdict
+        and, on a violation, the same first lasso, also where the depth
+        cuts paths short."""
+        # The cyclic systems close lassos whose loops span several states.
+        systems = [
+            build_system(generate_smv(parse_dsl(TWO_LOOPS))),
+            build_system(generate_smv(load_model(str(LOW_UNSAT)))),
+        ]
+        systems += [build_system(generate_smv(random_valid_model(seed))) for seed in range(30)]
+        # Every loop passes N. At depth 16, I M A D B N M A D B N M A D C
+        # reaches N again with N twice on the path: both lassos violate
+        # "F G !C", and the earlier occurrence must be reported.
+        for text in ("F G !C", "G !C", "F G !B", "G F C", "G (B -> X X !C)"):
+            for depth in range(1, 19):
+                expected = reference_oracle(systems[0], parse_ltl(text), depth)
+                assert oracle_check(systems[0], parse_ltl(text), depth) == expected, (text, depth)
+        rng = random.Random(4051)
+        loops = []
+        for sys in systems:
+            atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+            reach = len(reachable_states(sys).states)
+            for _ in range(8):
+                formula = random_formula(rng, atoms, rng.randint(1, 4))
+                depth = rng.randint(1, min(reach + 3, 13))
+                expected = reference_oracle(sys, formula, depth)
+                got = oracle_check(sys, formula, depth)
+                assert got == expected, (render_formula(formula), depth)
+                if not expected.holds:
+                    loops.append(len(expected.counterexample.loop))
+        assert len(loops) > 50 and max(loops) > 1
+
+    def test_shortest_lasso_spells_the_same_word(self):
+        """The oracle skips a lasso whose shortest form it has seen hold,
+        so that form must spell the lasso's word; and each word has one."""
+
+        def word(prefix, loop):
+            # Two lassos of at most 7 + 7 states spell one word exactly
+            # when their first 7 + 7 * 7 letters agree.
+            return tuple((list(prefix) + list(loop) * 56)[:56])
+
+        rng = random.Random(17)
+        words: dict[tuple, tuple] = {}
+        for _ in range(3000):
+            path = [rng.randint(0, 2) for _ in range(rng.randint(1, 7))]
+            j = rng.randrange(len(path))
+            shortest = _shortest_lasso(path, j)
+            assert word(*shortest) == word(path[:j], path[j:]), (path, j, shortest)
+            assert words.setdefault(word(*shortest), shortest) == shortest
 
     def test_oracle_counterexamples_are_sound(self, low_unsat_system, high_properties):
         verdict = oracle_check(low_unsat_system, high_properties[1].formula, depth=30)

@@ -202,6 +202,15 @@ class TestCheck:
         assert run("check", path, path) == 0
         assert capsys.readouterr().out.count("is true") == 2
 
+    def test_oracle_on_a_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # The oracle's path search visits 1,200 states before the sink
+        # closes a lasso: a search that recursed once per step overflows.
+        high, low = tmp_path / "chain1.behavior", tmp_path / "chain1200.behavior"
+        high.write_text(print_dsl(chain_model(1)))
+        low.write_text(print_dsl(chain_model(1200)))
+        assert run("check", high, low, "--depth", 1300) == 0
+        assert capsys.readouterr().out.count("is true") == 2
+
 
 class TestInternalError:
     def test_crash_is_not_a_verdict(self, monkeypatch, capsys):
