@@ -6,7 +6,11 @@ product with the system, and searches for a reachable fair cycle: a
 strongly connected component touching every acceptance set. A violation is
 reported as a lasso (finite prefix plus repeating loop), re-verified by
 direct evaluation on the induced ultimately-periodic word before being
-returned.
+returned. Product nodes are numbered in BFS discovery order. The prefix is
+the shortest BFS path into the fair SCC whose first-discovered member
+comes first, ending at that member; the loop starts there and visits the
+acceptance sets in order, each by a shortest path inside the SCC, before
+a shortest path back closes it.
 
 oracle_check() never builds an automaton: it enumerates lassos of the
 system directly and evaluates the property on each word by unrolling. On a
@@ -101,6 +105,24 @@ def _printable(sys: TransitionSystem, state) -> tuple:
     return tuple(value for _, value in sys.state_items(state))
 
 
+def _lasso(sys: TransitionSystem, prefix, loop) -> Lasso:
+    return Lasso(
+        sys.var_names,
+        tuple(_printable(sys, s) for s in prefix),
+        tuple(_printable(sys, s) for s in loop),
+    )
+
+
+def _path_to(parent, node) -> list:
+    """The parent-pointer path from a root (parent None) to node, root first."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    path.reverse()
+    return path
+
+
 def check(
     sys: TransitionSystem,
     prop: ltl.Formula,
@@ -116,172 +138,140 @@ def check(
     _check_atoms(sys, prop)
     auto = automaton_for_negation(prop)
 
-    # Reachable product graph, breadth first for shortest prefixes.
-    inits = [
-        (sys.initial, q)
-        for q in auto.initial
-        if _satisfies_literals(sys, sys.initial, auto.literals(q))
-    ]
-    adjacency: dict[tuple, tuple] = {}
-    parent: dict[tuple, tuple | None] = {p: None for p in inits}
-    order: list[tuple] = list(inits)
-    frontier = list(inits)
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            state, q = node
+    # Reachable product graph, breadth first for shortest prefixes. Product
+    # node i is (states[i], qs[i]); i is its BFS discovery position, so each
+    # BFS level is a contiguous run of ids.
+    ids: dict[tuple, int] = {}
+    states: list = []
+    qs: list[int] = []
+    parent: list[int | None] = []
+    for q in auto.initial:
+        if _satisfies_literals(sys, sys.initial, auto.literals(q)):
+            ids[(sys.initial, q)] = len(states)
+            states.append(sys.initial)
+            qs.append(q)
+            parent.append(None)
+    # A dict rather than a list: bench/tracer.py sums adjacency.values().
+    adjacency: dict[int, tuple[int, ...]] = {}
+    level = 0
+    while level < len(states):
+        level_end = len(states)
+        for node in range(level, level_end):
             succs = []
-            for next_state in sys.successors(state):
-                for q2 in auto.successors(q):
+            for next_state in sys.successors(states[node]):
+                for q2 in auto.successors(qs[node]):
                     if _satisfies_literals(sys, next_state, auto.literals(q2)):
-                        succs.append((next_state, q2))
+                        succ = ids.setdefault((next_state, q2), len(states))
+                        if succ == len(states):
+                            states.append(next_state)
+                            qs.append(q2)
+                            parent.append(node)
+                            if len(states) > cap:
+                                raise StateCapExceeded(cap, len(states) - level_end)
+                        succs.append(succ)
             adjacency[node] = tuple(succs)
-            for succ in succs:
-                if succ not in parent:
-                    parent[succ] = node
-                    order.append(succ)
-                    next_frontier.append(succ)
-                    if len(parent) > cap:
-                        raise StateCapExceeded(cap, len(next_frontier))
-        frontier = next_frontier
+        level = level_end
 
-    target = _find_fair_scc(adjacency, order, auto)
+    target = _find_fair_scc(adjacency, qs, auto)
     if target is None:
         return Verdict(prop, True, None, primitive, origin)
     scc, entry = target
-
-    prefix_product: list[tuple] = []
-    node = entry
-    while node is not None:
-        prefix_product.append(node)
-        node = parent[node]
-    prefix_product.reverse()
-
-    loop_product = _fair_cycle(adjacency, scc, entry, auto)
-
-    prefix = [p[0] for p in prefix_product[:-1]]
-    loop = [p[0] for p in loop_product]
+    prefix = [states[i] for i in _path_to(parent, entry)[:-1]]
+    loop = [states[i] for i in _fair_cycle(adjacency, scc, entry, qs, auto)]
     if evaluate_on_lasso(prop, prefix, loop, sys.atom_value):
         raise CounterexampleUnsound(ltl.render_formula(prop))
-    lasso = Lasso(
-        sys.var_names,
-        tuple(_printable(sys, s) for s in prefix),
-        tuple(_printable(sys, s) for s in loop),
-    )
-    return Verdict(prop, False, lasso, primitive, origin)
+    return Verdict(prop, False, _lasso(sys, prefix, loop), primitive, origin)
 
 
-def _find_fair_scc(adjacency, order, auto: BuchiAutomaton):
-    """First (by BFS discovery of its entry state) nontrivial SCC that
-    intersects every acceptance set; returns (scc_set, entry_state)."""
-    index_of: dict[tuple, int] = {}
-    lowlink: dict[tuple, int] = {}
-    on_stack: set[tuple] = set()
-    stack: list[tuple] = []
-    counter = [0]
-    sccs: list[frozenset] = []
+def _find_fair_scc(adjacency, qs, auto: BuchiAutomaton):
+    """Among the SCCs that are nontrivial and meet every acceptance set,
+    the one whose first-discovered member comes first; returns
+    (members, entry) with entry that member, or None.
 
-    for root in order:
-        if root in index_of:
+    Product nodes are ints 0..len(qs)-1 in BFS discovery order, and qs[i]
+    is node i's automaton state. Tarjan's algorithm from an explicit
+    stack; each SCC is tested as it pops."""
+    n = len(qs)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    best = None
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adjacency.get(root, ())))]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
+        index[root] = lowlink[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(adjacency[root]))]
         while work:
             node, edges = work[-1]
-            advanced = False
             for succ in edges:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
+                if index[succ] < 0:
+                    index[succ] = lowlink[succ] = counter
+                    counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adjacency.get(succ, ()))))
-                    advanced = True
+                    on_stack[succ] = True
+                    work.append((succ, iter(adjacency[succ])))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent_node = work[-1][0]
-                lowlink[parent_node] = min(lowlink[parent_node], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component = set()
+                if on_stack[succ] and index[succ] < lowlink[node]:
+                    lowlink[node] = index[succ]
+            else:
+                work.pop()
+                if work:
+                    up = work[-1][0]
+                    lowlink[up] = min(lowlink[up], lowlink[node])
+                if lowlink[node] != index[node]:
+                    continue
+                members = set()
                 while True:
                     member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
+                    on_stack[member] = False
+                    members.add(member)
                     if member == node:
                         break
-                sccs.append(frozenset(component))
-
-    def is_fair(component: frozenset) -> bool:
-        if len(component) == 1:
-            member = next(iter(component))
-            if member not in adjacency.get(member, ()):
-                return False
-        automaton_ids = {q for _, q in component}
-        return all(automaton_ids & acc for acc in auto.acceptance)
-
-    fair = [c for c in sccs if is_fair(c)]
-    if not fair:
-        return None
-    position = {node: i for i, node in enumerate(order)}
-    best = min(fair, key=lambda c: min(position[m] for m in c))
-    entry = min(best, key=lambda m: position[m])
-    return best, entry
+                if len(members) == 1 and node not in adjacency[node]:
+                    continue
+                automaton_ids = {qs[m] for m in members}
+                if all(automaton_ids & acc for acc in auto.acceptance):
+                    entry = min(members)
+                    if best is None or entry < best[1]:
+                        best = (members, entry)
+    return best
 
 
-def _fair_cycle(adjacency, scc: frozenset, entry, auto: BuchiAutomaton) -> list[tuple]:
-    """A cycle inside the SCC through `entry` visiting every acceptance set,
-    returned as the loop state list starting at `entry`."""
+def _fair_cycle(adjacency, scc: set, entry: int, qs, auto: BuchiAutomaton) -> list[int]:
+    """A cycle inside the SCC through `entry` visiting the acceptance sets
+    in order, returned as the loop's node list starting at `entry`."""
 
-    def bfs_path(start, goal_test, min_one_step: bool) -> list[tuple]:
-        if not min_one_step and goal_test(start):
-            return [start]
-        parents = {start: None}
+    def bfs_path(start: int, goal_test) -> list[int]:
+        # Shortest path of at least one step inside the SCC.
+        parents: dict[int, int | None] = {start: None}
         frontier = [start]
         while frontier:
             next_frontier = []
             for node in frontier:
-                for succ in adjacency.get(node, ()):
+                for succ in adjacency[node]:
                     if succ not in scc:
                         continue
-                    if succ not in parents:
+                    fresh = succ not in parents
+                    # start is seen from the outset; reaching it closes a cycle.
+                    if (fresh or succ == start) and goal_test(succ):
+                        return _path_to(parents, node) + [succ]
+                    if fresh:
                         parents[succ] = node
-                        if goal_test(succ):
-                            path = [succ]
-                            back = node
-                            while back is not None:
-                                path.append(back)
-                                back = parents[back]
-                            path.reverse()
-                            return path
                         next_frontier.append(succ)
-                    elif succ == start and goal_test(succ):
-                        # Close the cycle even though start was already seen.
-                        path = [succ, node]
-                        back = parents[node]
-                        while back is not None:
-                            path.append(back)
-                            back = parents[back]
-                        path.reverse()
-                        return path
             frontier = next_frontier
         raise RuntimeError("strongly connected component is not connected")
 
     walk = [entry]
     for acceptance in auto.acceptance:
-        if any(q in acceptance for _, q in walk):
+        if any(qs[i] in acceptance for i in walk):
             continue
-        segment = bfs_path(walk[-1], lambda n: n[1] in acceptance, min_one_step=False)
-        walk.extend(segment[1:])
-    closing = bfs_path(walk[-1], lambda n: n == entry, min_one_step=True)
-    walk.extend(closing[1:])
+        walk.extend(bfs_path(walk[-1], lambda i: qs[i] in acceptance)[1:])
+    walk.extend(bfs_path(walk[-1], lambda i: i == entry)[1:])
     return walk[:-1]
 
 
@@ -396,13 +386,7 @@ def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdic
     failing = _first_violating_lasso(sys, prop, depth)
     if failing is None:
         return Verdict(prop, True)
-    prefix, loop = failing
-    lasso = Lasso(
-        sys.var_names,
-        tuple(_printable(sys, s) for s in prefix),
-        tuple(_printable(sys, s) for s in loop),
-    )
-    return Verdict(prop, False, lasso)
+    return Verdict(prop, False, _lasso(sys, *failing))
 
 
 def _first_violating_lasso(sys: TransitionSystem, prop: ltl.Formula, depth: int):

@@ -170,6 +170,13 @@ def cmd_check(args) -> int:
     if args.cap < 1:
         print("error: --cap must be positive", file=sys.stderr)
         return EXIT_ERROR
+    if args.engine == "nusmv" and (args.depth is not None or args.dump_states):
+        print(
+            "error: --depth and --dump-states need the internal engine "
+            "(--engine internal or both)",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     high = ingest.load_model(args.high)
     low = ingest.load_model(args.low)
     properties = ltl.generate_properties(high, join_mode=args.join_mode)

@@ -257,20 +257,16 @@ def parse_dsl(text: str, origin: str = "<string>") -> ActivityModel | list[Parse
     model = ActivityModel(parser.model_name, parser.nodes, parser.edges)
     problems = validate(model)
     if problems:
-        return [_locate_violation(v, parser, origin) for v in problems]
+        # Each violation at its node's span, else at its edge's first span.
+        edge_spans: dict[tuple[str, str], SourceSpan] = {}
+        for e, span in zip(parser.edges, parser.edge_spans):
+            edge_spans.setdefault((e.source, e.target), span)
+        start = SourceSpan(origin, 1, 1)
+        return [
+            ParseError(str(v), parser.node_spans.get(v.node_id) or edge_spans.get(v.edge, start))
+            for v in problems
+        ]
     return model
-
-
-def _locate_violation(violation, parser: _DslParser, origin: str) -> ParseError:
-    span = SourceSpan(origin, 1, 1)
-    if violation.node_id is not None and violation.node_id in parser.node_spans:
-        span = parser.node_spans[violation.node_id]
-    elif violation.edge is not None:
-        for e, s in zip(parser.edges, parser.edge_spans):
-            if (e.source, e.target) == violation.edge:
-                span = s
-                break
-    return ParseError(str(violation), span)
 
 
 def parse_json(text: str) -> ActivityModel | list[ParseError]:

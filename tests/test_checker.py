@@ -207,8 +207,35 @@ class TestCheckSmall:
             check(low_unsat_system, parse_ltl("F DecisionNode1"))
 
     def test_product_cap(self, low_unsat_system, high_properties):
-        with pytest.raises(StateCapExceeded):
+        with pytest.raises(StateCapExceeded) as raised:
             check(low_unsat_system, high_properties[1].formula, cap=2)
+        assert (raised.value.cap, raised.value.frontier) == (2, 1)
+        # The frontier counts the nodes found so far in the current BFS level.
+        with pytest.raises(StateCapExceeded) as raised:
+            check(low_unsat_system, high_properties[1].formula, cap=10)
+        assert (raised.value.cap, raised.value.frontier) == (10, 6)
+
+    @pytest.mark.parametrize("branches", [("P1 [deep]", "MB [shallow]"), ("MB [shallow]", "P1 [deep]")])
+    def test_lasso_enters_the_fair_scc_discovered_first(self, branches):
+        # Two loops that avoid both finals, so two fair SCCs: loop A three
+        # steps deeper than loop B. Whichever branch the search takes
+        # first, the prefix is the shortest path into loop B.
+        sys = system_of(
+            "model Two { initial I; decision D; action P1; action P2; action P3;"
+            " merge MA; action A; decision DA; merge MB; action B; decision DB;"
+            " final F1; final F2; I -> D; D -> %s; D -> %s; P1 -> P2; P2 -> P3;"
+            " P3 -> MA; MA -> A; A -> DA; DA -> MA [again]; DA -> F1 [done];"
+            " MB -> B; B -> DB; DB -> MB [again]; DB -> F2 [done] }" % branches
+        )
+        lasso = check(sys, parse_ltl("F (F1 | F2)")).counterexample
+
+        def active(rows):
+            # Pulsing nodes, and decisions holding a branch value.
+            return [[name for name, value in row.items() if value not in ("FALSE", "undetermined")] for row in rows]
+
+        assert active(lasso.prefix_dicts()) == [["I"], ["D"]]
+        assert lasso.prefix_dicts()[1]["D"] == "guard_D_MB"
+        assert active(lasso.loop_dicts()) == [["MB"], ["B"], ["DB"]]
 
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,27 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "InitialNode1 = TRUE" in err.splitlines()[0]
 
+    @pytest.mark.parametrize("extra", [["--depth", "5"], ["--dump-states"]])
+    def test_internal_only_options_refused_with_external_engine(self, monkeypatch, capsys, extra):
+        def no_tool(*args, **kwargs):
+            raise AssertionError("no engine may run")
+
+        monkeypatch.setattr(cli.nusmv, "run_check", no_tool)
+        assert run("check", HIGH, LOW_SAT, "--engine", "nusmv", *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --depth and --dump-states need the internal engine "
+            "(--engine internal or both)\n"
+        )
+
+    @pytest.mark.parametrize("low, code", [(LOW_UNSAT, 1), (LOW_SAT, 0)])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_report_matches_golden(self, capsys, low, code, fmt, suffix):
+        assert run("check", HIGH, low, "--format", fmt) == code
+        golden = GOLDEN / f"{low.stem}.check.{suffix}"
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
     def test_atom_mismatch_is_operational_error(self, tmp_path, capsys):
         low = tmp_path / "tiny.behavior"
         low.write_text("model T { initial InitialNode1; final Done; InitialNode1 -> Done }")

@@ -77,6 +77,13 @@ class TestParseDsl:
         err = next(e for e in errs if ">=2 outgoing" in e.message)
         assert err.span.line == 3
 
+    def test_duplicated_edge_violations_report_its_first_span(self):
+        text = "model M {\n    initial I;\n    action A;\n    final F;\n    I -> A;\n    A -> F [g];\n    A -> F [g];\n}"
+        errs = errors_of(parse_dsl(text, "d.behavior"))
+        guards = [e for e in errs if "guard is only allowed" in e.message]
+        assert [str(e.span) for e in guards] == ["d.behavior:6:5", "d.behavior:6:5"]
+        assert any("exactly 1 outgoing" in e.message and e.span.line == 3 for e in errs)
+
     def test_every_error_has_location(self):
         for text in (
             "model M { initial I; final F; I -> Missing; }",
