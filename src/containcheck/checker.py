@@ -98,7 +98,8 @@ def _check_atoms(sys: TransitionSystem, formula: ltl.Formula) -> None:
 
 
 def _satisfies_literals(sys: TransitionSystem, state, literals) -> bool:
-    return all(sys.atom_value(state, atom) != negated for atom, negated in literals)
+    # _check_atoms has vetted every atom, so no edge re-validates one.
+    return all(sys.value_of(state, atom) != negated for atom, negated in literals)
 
 
 def _printable(sys: TransitionSystem, state) -> tuple:
@@ -395,36 +396,28 @@ def _first_violating_lasso(sys: TransitionSystem, prop: ltl.Formula, depth: int)
     occurrences, earliest first. Returns the first lasso that violates
     the property as (prefix, loop), or None.
 
-    States are numbered as they are reached, and a word already seen to
-    hold is not evaluated again: past a self-looping sink, every lasso the
-    path closes spells the same word."""
-    number = {sys.initial: 0}
-    states = [sys.initial]
-    path = [0]
+    A word already seen to hold is not evaluated again: past a
+    self-looping sink, every lasso the path closes spells the same word."""
+    path = [sys.initial]
     holding: set[tuple] = set()
     pending = [iter(sys.successors(sys.initial))] if depth > 1 else []
     while pending:
-        succ = next(pending[-1], None)  # states are tuples, never None
+        succ = next(pending[-1], None)  # states are ints, never None
         if succ is None:
             pending.pop()
             path.pop()
             continue
-        k = number.setdefault(succ, len(states))
-        if k == len(states):
-            states.append(succ)
         for j, earlier in enumerate(path):
-            if earlier != k:
+            if earlier != succ:
                 continue
             word = _shortest_lasso(path, j)
             if word in holding:
                 continue
-            prefix = [states[i] for i in path[:j]]
-            loop = [states[i] for i in path[j:]]
-            if not evaluate_on_lasso(prop, prefix, loop, sys.atom_value):
-                return prefix, loop
+            if not evaluate_on_lasso(prop, path[:j], path[j:], sys.atom_value):
+                return path[:j], path[j:]
             holding.add(word)
         if len(path) + 1 < depth:
-            path.append(k)
+            path.append(succ)
             pending.append(iter(sys.successors(succ)))
     return None
 

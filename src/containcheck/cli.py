@@ -3,9 +3,9 @@ reporting into one pipeline.
 
 Exit codes: 0 success (for `check`: containment holds), 1 a property is
 violated, 2 operational error (unreadable input, invalid model, cyclic
-high-level model, atom mismatch, missing external tool, engine divergence)
-or internal error (any other exception), so a crash never reads as a
-verdict.
+high-level model, atom mismatch, missing external tool, engine divergence,
+an external report without one verdict per property) or internal error
+(any other exception), so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -206,6 +206,13 @@ def cmd_check(args) -> int:
     if args.engine in ("nusmv", "both"):
         raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
         external_verdicts = nusmv.parse_output(raw)
+        if len(external_verdicts) != len(properties):
+            print(
+                f"error: external checker reported {len(external_verdicts)} "
+                f"verdicts for {len(properties)} properties",
+                file=sys.stderr,
+            )
+            return EXIT_ERROR
 
     if args.engine == "both":
         internal_vector = [v.holds for v in internal_verdicts]

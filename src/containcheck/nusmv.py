@@ -43,8 +43,8 @@ class ToolRunError(Exception):
 
 
 class OutputParseError(Exception):
-    def __init__(self, line_number: int, line: str):
-        super().__init__(f"unrecognized output at line {line_number}: {line!r}")
+    def __init__(self, line_number: int, line: str, problem: str = "unrecognized output"):
+        super().__init__(f"{problem} at line {line_number}: {line!r}")
         self.line_number = line_number
         self.line = line
 
@@ -114,12 +114,14 @@ def parse_output(raw: str) -> list[Verdict]:
     carrying unprinted variables forward; the loop begins at the state
     following the loop marker. A trailing repetition of the loop's first
     state (the checker's way of closing the loop) is dropped. Lines that do
-    not belong to the known layout raise OutputParseError.
+    not belong to the known layout, and a loop marker with no state after
+    it, raise OutputParseError.
     """
     verdicts: list[Verdict] = []
     pending_formula: ltl.Formula | None = None
     states: list[dict[str, str]] = []
     loop_index: int | None = None
+    loop_marker = (0, "")
     in_trace = False
 
     def flush() -> None:
@@ -128,6 +130,8 @@ def parse_output(raw: str) -> list[Verdict]:
             return
         if not states:
             raise OutputParseError(0, "counterexample trace missing after a false verdict")
+        if loop_index == len(states):
+            raise OutputParseError(*loop_marker, "loop marker with no state after it")
         verdicts.append(
             Verdict(pending_formula, False, _build_lasso(states, loop_index))
         )
@@ -152,6 +156,7 @@ def parse_output(raw: str) -> list[Verdict]:
             if not in_trace:
                 raise OutputParseError(line_number, line)
             loop_index = len(states)
+            loop_marker = (line_number, line)
             continue
         if _STATE_LINE.match(stripped):
             if not in_trace:

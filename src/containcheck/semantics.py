@@ -1,12 +1,12 @@
 """Finite transition system induced by a generated SMV module.
 
-States assign one value per variable: Python bools for node variables and
-value strings for decision scalars ("undetermined" or a guard value). All
-states of one system share a fixed variable order (the module's declaration
-order), so states are plain tuples: hashable, comparable, and cheap to
-store. Successors evaluate every variable's first matching case arm against
-the current state simultaneously; nondeterministic decision arms expand
-into one successor per chosen value.
+A state assigns one value per variable (Python bools for node variables,
+value strings for decision scalars: "undetermined" or a guard value), as a
+tuple in the module's declaration order. The system numbers each distinct
+tuple once, when first reached, and callers hold states by that int: only
+this module sees the tuples. Successors evaluate every variable's first
+matching case arm against the current state simultaneously; nondeterministic
+decision arms expand into one successor per chosen value.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .smv import (
     ValueExpr,
 )
 
-State = tuple  # one value per variable, in system variable order
+State = int  # position in the system's table of value tuples
 
 DEFAULT_STATE_CAP = 1_000_000
 
@@ -49,8 +49,8 @@ class ChoicesExhausted(Exception):
 
 
 class TransitionSystem:
-    """Immutable after construction; successor computation is pure and
-    memoized, so concurrent readers are safe."""
+    """Computing successors numbers the states they reach, so a system is
+    not thread-safe (nothing here uses threads); only id equality matters."""
 
     def __init__(self, module: SmvModule):
         self.module = module
@@ -62,10 +62,19 @@ class TransitionSystem:
         self._assigns = tuple(sorted(module.assigns, key=lambda a: self._index[a.var]))
         if tuple(a.var for a in self._assigns) != self.var_names:
             raise ValueError("module must assign every declared variable exactly once")
-        self.initial: State = tuple(
-            self._init_value(a.init, a.var) for a in self._assigns
+        self._values: list[tuple] = []
+        self._ids: dict[tuple, State] = {}
+        self.initial = self._intern(
+            tuple(self._init_value(a.init, a.var) for a in self._assigns)
         )
+        # One entry per state whose successors were computed; bench/tracer.py counts them.
         self._successor_cache: dict[State, tuple[State, ...]] = {}
+
+    def _intern(self, values: tuple) -> State:
+        state = self._ids.setdefault(values, len(self._values))
+        if state == len(self._values):
+            self._values.append(values)
+        return state
 
     def _init_value(self, value: ValueExpr, var: str):
         if isinstance(value, Literal):
@@ -88,34 +97,34 @@ class TransitionSystem:
         """Atoms name boolean node variables only."""
         if not self.is_boolean_var(atom):
             raise ValueError(f"atom {atom!r} is not a boolean variable")
-        return state[self._index[atom]]
+        return self._values[state][self._index[atom]]
 
     def value_of(self, state: State, name: str):
-        return state[self._index[name]]
+        return self._values[state][self._index[name]]
 
     def state_items(self, state: State) -> list[tuple[str, str]]:
         """(name, printable value) pairs in variable order."""
         out = []
-        for name, value in zip(self.var_names, state):
+        for name, value in zip(self.var_names, self._values[state]):
             if isinstance(value, bool):
                 out.append((name, "TRUE" if value else "FALSE"))
             else:
                 out.append((name, value))
         return out
 
-    def _eval_cond(self, cond: CondExpr, state: State) -> bool:
+    def _eval_cond(self, cond: CondExpr, values: tuple) -> bool:
         if isinstance(cond, VarTrue):
-            return bool(state[self._index[cond.name]])
+            return bool(values[self._index[cond.name]])
         if isinstance(cond, GuardEq):
-            return state[self._index[cond.var]] == cond.value
+            return values[self._index[cond.var]] == cond.value
         if isinstance(cond, NotUndetermined):
-            return state[self._index[cond.var]] != "undetermined"
+            return values[self._index[cond.var]] != "undetermined"
         if isinstance(cond, ConstTrue):
             return True
         if isinstance(cond, AndCond):
-            return all(self._eval_cond(p, state) for p in cond.parts)
+            return all(self._eval_cond(p, values) for p in cond.parts)
         if isinstance(cond, OrCond):
-            return any(self._eval_cond(p, state) for p in cond.parts)
+            return any(self._eval_cond(p, values) for p in cond.parts)
         raise TypeError(f"unevaluable condition {cond!r}")
 
     def successors(self, state: State) -> tuple[State, ...]:
@@ -124,22 +133,23 @@ class TransitionSystem:
         cached = self._successor_cache.get(state)
         if cached is not None:
             return cached
+        values = self._values[state]
         per_var: list[tuple] = []
         for assign in self._assigns:
             for cond, value in assign.cases:
-                if self._eval_cond(cond, state):
+                if self._eval_cond(cond, values):
                     break
             else:
                 raise ValueError(f"no case arm matched for {assign.var!r}")
             if isinstance(value, Literal):
                 per_var.append((self._decode(assign.var, value.text),))
             elif isinstance(value, Keep):
-                per_var.append((state[self._index[value.var]],))
+                per_var.append((values[self._index[value.var]],))
             elif isinstance(value, Choice):
                 per_var.append(tuple(value.values))
             else:
                 raise TypeError(f"unevaluable value {value!r}")
-        result = tuple(product(*per_var))
+        result = tuple(map(self._intern, product(*per_var)))
         self._successor_cache[state] = result
         return result
 
@@ -204,7 +214,7 @@ def simulate(sys: TransitionSystem, choices) -> list[State]:
                 name
                 for name in sys.var_names
                 if name in scalars
-                and len({s[sys._index[name]] for s in succs}) > 1
+                and len({sys.value_of(s, name) for s in succs}) > 1
             ]
             wanted: dict[str, str] = {}
             for decision in triggered:
@@ -224,7 +234,7 @@ def simulate(sys: TransitionSystem, choices) -> list[State]:
             matching = [
                 s
                 for s in succs
-                if all(s[sys._index[d]] == v for d, v in wanted.items())
+                if all(sys.value_of(s, d) == v for d, v in wanted.items())
             ]
             if not matching:
                 raise ValueError("choices did not select a successor")

@@ -208,6 +208,19 @@ def fork_of_decisions_model(k: int) -> ActivityModel:
     return ActivityModel(f"ForkOfDecisions{k}", nodes, edges)
 
 
+def number_backwards(sys) -> None:
+    """Reach every state of the system depth first, last successor first:
+    the system numbers its states as they are reached, so this leaves ids
+    in an order no breadth-first caller would give them."""
+    seen = {sys.initial}
+    stack = [sys.initial]
+    while stack:
+        for succ in reversed(sys.successors(stack.pop())):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+
+
 def random_formula(rng: random.Random, atoms: list[str], depth: int):
     """Arbitrary formula over the atoms, at most `depth` operators deep."""
     if depth == 0 or rng.random() < 0.3:

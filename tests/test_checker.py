@@ -7,7 +7,16 @@ import random
 
 import pytest
 
-from conftest import LOW_UNSAT, lasso_violates, random_formula, random_valid_model
+from conftest import (
+    HIGH,
+    LOW_SAT,
+    LOW_UNSAT,
+    fork_of_decisions_model,
+    lasso_violates,
+    number_backwards,
+    random_formula,
+    random_valid_model,
+)
 from containcheck import ltl
 from containcheck.checker import (
     Lasso,
@@ -36,11 +45,9 @@ def system_of(text: str):
 
 
 def raw_state(sys, lasso, row):
-    """Map a lasso's printable row back to a raw system state tuple."""
-    values = []
-    for name, text in zip(lasso.var_names, row):
-        values.append(text == "TRUE" if sys.is_boolean_var(name) else text)
-    return tuple(values)
+    """The reachable system state whose printable values are the lasso's row."""
+    items = list(zip(lasso.var_names, row))
+    return next(s for s in reachable_states(sys).order if sys.state_items(s) == items)
 
 
 # --- reference evaluator and oracle --------------------------------------
@@ -440,6 +447,53 @@ class TestSoundness:
             for verdict in check_all(sys, generate_properties(model)):
                 if not verdict.holds:
                     assert lasso_violates(verdict.formula, verdict.counterexample)
+
+
+@pytest.fixture(scope="module")
+def numbering_cases():
+    """(module, formulas) per system: the fixtures under the high model's
+    properties, and a fork of decisions under its own properties plus
+    random formulas (most of them violated)."""
+    high = generate_properties(load_model(str(HIGH)))
+    cases = {
+        low.stem: (generate_smv(load_model(str(low))), [p.formula for p in high])
+        for low in (LOW_UNSAT, LOW_SAT)
+    }
+    model = fork_of_decisions_model(3)
+    module = generate_smv(model)
+    sys = build_system(module)
+    atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+    rng = random.Random(2024)
+    formulas = [p.formula for p in generate_properties(model)]
+    formulas += [random_formula(rng, atoms, 4) for _ in range(25)]
+    cases["fork_of_decisions3"] = (module, formulas)
+    return cases
+
+
+class TestStateNumbering:
+    """A system numbers its states as callers first reach them. No verdict,
+    lasso or report byte may depend on which caller that was."""
+
+    @pytest.mark.parametrize(
+        "case", ["fork_of_decisions3", "order_processing_low_sat", "order_processing_low_unsat"]
+    )
+    def test_reports_do_not_depend_on_who_numbered_first(self, numbering_cases, case):
+        module, formulas = numbering_cases[case]
+        outputs = []
+        for number_first in (None, reachable_states, number_backwards):
+            sys = build_system(module)
+            if number_first is not None:
+                number_first(sys)
+            verdicts = check_all(sys, formulas)
+            depth = len(reachable_states(sys).states) + 2
+            oracle = [oracle_check(sys, f, depth) for f in formulas]
+            outputs.append(
+                (render_report(verdicts, "text"), render_report(verdicts, "json"), oracle)
+            )
+        # Lassos are where a numbering could leak into the output.
+        assert any(not v.holds for v in verdicts) == (case != "order_processing_low_sat")
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestReport:

@@ -192,9 +192,18 @@ class TestCheck:
     @pytest.mark.parametrize("low, code", [(LOW_UNSAT, 1), (LOW_SAT, 0)])
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
     def test_report_matches_golden(self, capsys, low, code, fmt, suffix):
-        assert run("check", HIGH, low, "--format", fmt) == code
         golden = GOLDEN / f"{low.stem}.check.{suffix}"
-        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+        # The oracle cross-check numbers states too; it must not move a byte.
+        for extra in ((), ("--depth", "30")):
+            assert run("check", HIGH, low, "--format", fmt, *extra) == code
+            assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+    @pytest.mark.parametrize("low, code", [(LOW_UNSAT, 1), (LOW_SAT, 0)])
+    def test_dump_states_matches_golden(self, capsys, low, code):
+        # Reachable states in BFS order, whatever numbers the system gave them.
+        assert run("check", HIGH, low, "--dump-states") == code
+        golden = GOLDEN / f"{low.stem}.states.txt"
+        assert capsys.readouterr().err.encode("utf-8") == golden.read_bytes()
 
     def test_atom_mismatch_is_operational_error(self, tmp_path, capsys):
         low = tmp_path / "tiny.behavior"
@@ -290,3 +299,35 @@ class TestEngineBoth:
         tool = self.stub_tool(tmp_path, report)
         assert run("check", HIGH, LOW_UNSAT, "--engine", "nusmv", "--nusmv-path", tool) == 1
         assert capsys.readouterr().out.count("is false") == 1
+
+    @pytest.mark.parametrize("engine", ["nusmv", "both"])
+    @pytest.mark.parametrize("verdicts", [0, 1])
+    def test_verdict_count_must_match_properties(self, tmp_path, capsys, engine, verdicts):
+        # A banner alone, or one verdict line, decides nothing about six
+        # properties: that is an error, not containment.
+        first_line = self.internal_report(capsys, LOW_SAT).splitlines(keepends=True)[0]
+        report = "*** This is a sample banner line ***\n" + first_line * verdicts
+        tool = self.stub_tool(tmp_path, report)
+        assert run("check", HIGH, LOW_SAT, "--engine", engine, "--nusmv-path", tool) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: external checker reported {verdicts} verdicts for 6 properties\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_loop_is_a_parse_error(self, tmp_path, capsys, fmt):
+        # Cut the counterexample's states after its loop marker, keeping
+        # the verdict lines that follow.
+        lines = self.internal_report(capsys, LOW_UNSAT).splitlines(keepends=True)
+        marker = lines.index("-- Loop starts here\n")
+        resume = next(i for i in range(marker, len(lines)) if lines[i].startswith("-- spec"))
+        tool = self.stub_tool(tmp_path, "".join(lines[: marker + 1] + lines[resume:]))
+        argv = ("check", HIGH, LOW_UNSAT, "--engine", "nusmv", "--format", fmt)
+        assert run(*argv, "--nusmv-path", tool) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: loop marker with no state after it at line {marker + 1}: "
+            "'-- Loop starts here'\n"
+        )

@@ -163,6 +163,22 @@ class TestParseOutput:
             parse_output(bad)
         assert info.value.line_number == 4
 
+    @pytest.mark.parametrize("tail", ["", "-- specification F a is true\n"])
+    def test_loop_marker_after_last_state(self, tail):
+        # The loop would be empty: no lasso can be built from this trace.
+        bad = (
+            "-- specification G a is false\n"
+            "-> State: 1.1 <-\n"
+            "  a = FALSE\n"
+            "-- Loop starts here\n"
+        ) + tail
+        with pytest.raises(OutputParseError) as info:
+            parse_output(bad)
+        assert info.value.line_number == 4
+        assert str(info.value) == (
+            "loop marker with no state after it at line 4: '-- Loop starts here'"
+        )
+
     def test_round_trip_of_internal_report(
         self, low_unsat_system, low_sat_system, high_model
     ):

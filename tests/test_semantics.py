@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import random_valid_model
+from conftest import fork_of_decisions_model, number_backwards, random_valid_model
+from containcheck.checker import check_all
 from containcheck.ingest import parse_dsl
+from containcheck.ltl import generate_properties
 from containcheck.semantics import (
     ChoicesExhausted,
     StateCapExceeded,
@@ -168,7 +170,7 @@ class TestPulseInvariants:
                 if var in initial_vars:
                     assert not sys.atom_value(succ, var)
                     continue
-                fired = sys._eval_cond(self.trigger_condition(sys, var), state)
+                fired = sys._eval_cond(self.trigger_condition(sys, var), sys._values[state])
                 assert sys.atom_value(succ, var) == fired
 
     @pytest.mark.parametrize("fixture", ["low_unsat_system", "low_sat_system"])
@@ -179,7 +181,7 @@ class TestPulseInvariants:
         decisions = [d.name for d in sys.module.vars if not d.is_boolean]
         for state, succ in self.zip_edges(sys):
             for var in decisions:
-                fired = sys._eval_cond(self.trigger_condition(sys, var), state)
+                fired = sys._eval_cond(self.trigger_condition(sys, var), sys._values[state])
                 now = sys.value_of(state, var)
                 nxt = sys.value_of(succ, var)
                 if fired:
@@ -196,15 +198,20 @@ class TestPulseInvariants:
         for state in reachable_states(sys).order:
             expected = 1
             for var, branches in decisions.items():
-                if sys._eval_cond(self.trigger_condition(sys, var), state):
+                if sys._eval_cond(self.trigger_condition(sys, var), sys._values[state]):
                     expected *= branches
             assert len(sys.successors(state)) == expected
 
     def test_sink_self_loops_and_is_reached(self, low_sat_system):
         sys = low_sat_system
-        sink = tuple(
-            False if d.is_boolean else "undetermined" for d in sys.module.vars
-        )
+        # States are ints; find the all-FALSE, all-undetermined one by its values.
+        sinks = [
+            s
+            for s in reachable_states(sys).order
+            if {v for _, v in sys.state_items(s)} <= {"FALSE", "undetermined"}
+        ]
+        assert len(sinks) == 1
+        sink = sinks[0]
         assert sys.successors(sink) == (sink,)
         # Acyclic model: the sink is reachable from every reachable state.
         for state in reachable_states(sys).order:
@@ -224,5 +231,44 @@ class TestPulseInvariants:
                 for var in sys.var_names:
                     if not sys.is_boolean_var(var) or var in initial_vars:
                         continue
-                    fired = sys._eval_cond(self.trigger_condition(sys, var), state)
+                    fired = sys._eval_cond(self.trigger_condition(sys, var), sys._values[state])
                     assert sys.atom_value(succ, var) == fired
+
+
+class TestStateIds:
+    """States are ints: the system numbers each distinct value tuple once,
+    in the order callers first reach it."""
+
+    def assert_contract(self, sys):
+        assert sys.initial == 0
+        reach = reachable_states(sys)
+        n = len(reach.states)
+        assert sorted(reach.order) == list(range(n))
+        assert len({tuple(sys.state_items(s)) for s in reach.order}) == n
+        for state in reach.order:
+            assert sys.successors(state) == sys.successors(state)
+
+    @pytest.mark.parametrize("fixture", ["low_unsat_system", "low_sat_system"])
+    def test_contract_on_fixtures(self, fixture, request):
+        self.assert_contract(request.getfixturevalue(fixture))
+
+    def test_contract_after_other_callers_numbered_first(self, high_model, low_unsat_model):
+        checked = build_system(generate_smv(low_unsat_model))
+        check_all(checked, generate_properties(high_model))
+        self.assert_contract(checked)
+        backwards = build_system(generate_smv(fork_of_decisions_model(3)))
+        number_backwards(backwards)
+        self.assert_contract(backwards)
+
+    def test_numbering_follows_the_first_caller(self):
+        # Pins that the numbering tests elsewhere compare distinct numberings.
+        module = generate_smv(fork_of_decisions_model(3))
+        by_breadth, by_depth = build_system(module), build_system(module)
+        n = len(reachable_states(by_breadth).states)
+        number_backwards(by_depth)
+        assert n == len(reachable_states(by_depth).states)
+        as_values = [
+            [sys.state_items(i) for i in range(n)] for sys in (by_breadth, by_depth)
+        ]
+        assert as_values[0] != as_values[1]
+        assert sorted(as_values[0]) == sorted(as_values[1])
