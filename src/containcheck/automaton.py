@@ -15,8 +15,11 @@ Cost tracks the automaton, not the formula's printed size:
 - the pass translates each (subformula object, polarity) once, so an xor
   chain's normal form is a graph linear in the chain, not a tree
   exponential in it;
-- the tableau's sets hold ints, and complete nodes merge through a dict
-  keyed on their (old, next) sets;
+- the tableau's sets are int bitmasks, and complete nodes merge through a
+  dict keyed on their (old, next) masks;
+- a node's successors depend only on its Next set, so each distinct Next
+  set is expanded once per build (366 for a 6-way decision's 2,446
+  states) and the depth-first numbering is replayed over the expansions;
 - no walk recurses, so formula depth is bounded by memory only.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 from . import ltl
 
@@ -203,9 +207,6 @@ class _Interned:
 
 # --- tableau construction ------------------------------------------------
 
-_INIT = -1  # synthetic incoming marker for initial automaton states
-
-
 @dataclass(frozen=True)
 class BuchiState:
     id: int
@@ -243,101 +244,130 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
     """Automaton accepting exactly the words that violate the formula:
     the tableau expansion of the NNF of its negation.
 
-    A pending node is (id, source, new, old, next): the one node it was
-    created from (every node has a single source until merged), the
-    obligations still to process in order, and the processed and
-    next-step obligations. A split pushes its second half before its
-    first, so nodes get the ids a depth-first expansion gives them. A
-    complete node's next obligations seed its successor in repr order.
+    Sets of subformulas are int bitmasks over their ids. A node's
+    successors depend only on its Next set: its obligations, in repr
+    order, seed a depth-first expansion whose complete (old, next) leaves
+    are the successors. `expand` runs that split loop once per Next set. A
+    split pushes its second half before its first, and each leaf records
+    the number of splits made before it, the split that pushed it (0 for
+    the seed itself) and which half it is.
+
+    State ids are those of one depth-first walk over every pending node:
+    a split adds 2 to a counter and its halves take the old value +1 and
+    +2; a leaf with a new key adds 1, and its successors' seed takes that
+    value and is expanded at once, before the rest of the current
+    expansion. The numbering pass replays that walk over the cached
+    leaves from a stack of frames. A frame's `at` holds its seed's id,
+    then the counter at each of its splits replayed so far. Once a Next
+    set has been replayed to its end, every leaf of it has an id, so a
+    later replay of it would only add 2 per split.
     """
     table = _Interned(ltl.Not(formula))
     kind, left, right = table.kind, table.left, table.right
-    complement, rank = table.complement, table.repr_ranks()
+    by_rank = sorted(range(len(kind)), key=table.repr_ranks().__getitem__)
+    complement = {f: 1 << c if c >= 0 else 0 for f, c in table.complement.items()}
 
-    nodes: list[tuple[int, set[int], frozenset[int], frozenset[int]]] = []
-    complete: dict[tuple[frozenset[int], frozenset[int]], set[int]] = {}
-    counter = 1
-    stack = [(counter, _INIT, [table.root], set(), set())]
-    while stack:
-        node_id, source, new, old, nxt = stack.pop()
-        # `new` may grow while it is walked; the walk then reaches the
-        # added obligations too.
-        for i, f in enumerate(new, 1):
-            if f in old:
-                continue
-            k = kind[f]
-            if k == _TRUE:
-                continue
-            if k == _FALSE:
-                break
-            if k == _LIT:
-                if complement[f] in old:
+    @cache
+    def expand(seed: int) -> tuple[list[tuple], int]:
+        leaves: list[tuple] = []
+        splits = 0
+        stack = [(0, 0, [f for f in by_rank if seed >> f & 1], 0, 0)]
+        while stack:
+            split, half, new, old, nxt = stack.pop()
+            # `new` may grow while it is walked; the walk then reaches the
+            # added obligations too.
+            for i, f in enumerate(new, 1):
+                bit = 1 << f
+                if old & bit:
+                    continue
+                k = kind[f]
+                if k == _TRUE:
+                    continue
+                if k == _FALSE:
                     break
-                old.add(f)
-                continue
-            if k == _AND:
-                old.add(f)
-                for part in (left[f], right[f]):
-                    if part not in old and part not in new[i:]:
-                        new.append(part)
-                continue
-            if k == _NEXT:
-                old.add(f)
-                nxt.add(left[f])
-                continue
-            # Disjunctive: U is right | (left & X U), R is right & (left | X R).
-            # This node ends here, so one half may take over its sets.
-            rest = new[i:]
-            old.add(f)
-            if k == _OR:
-                first = (rest + [left[f]], nxt)
-                second = (rest + [right[f]], set(nxt))
-            elif k == _UNTIL:
-                first = (rest + [left[f]], nxt | {f})
-                second = (rest + [right[f]], nxt)
+                if k == _LIT:
+                    if old & complement[f]:
+                        break
+                    old |= bit
+                    continue
+                old |= bit
+                if k == _AND:
+                    for part in (left[f], right[f]):
+                        if not old >> part & 1 and part not in new[i:]:
+                            new.append(part)
+                    continue
+                if k == _NEXT:
+                    nxt |= 1 << left[f]
+                    continue
+                # Disjunctive: U is right | (left & X U), R is right & (left | X R).
+                rest = new[i:]
+                if k == _OR:
+                    first = (rest + [left[f]], nxt)
+                    second = (rest + [right[f]], nxt)
+                elif k == _UNTIL:
+                    first = (rest + [left[f]], nxt | bit)
+                    second = (rest + [right[f]], nxt)
+                else:
+                    first = (rest + [right[f]], nxt | bit)
+                    second = (rest + [left[f], right[f]], nxt)
+                splits += 1
+                stack.append((splits, 2, second[0], old, second[1]))
+                stack.append((splits, 1, first[0], old, first[1]))
+                break
             else:
-                first = (rest + [right[f]], nxt | {f})
-                second = (rest + [left[f], right[f]], nxt)
-            stack.append((counter + 2, source, second[0], set(old), second[1]))
-            stack.append((counter + 1, source, first[0], old, first[1]))
-            counter += 2
-            break
-        else:
-            key = (frozenset(old), frozenset(nxt))
-            incoming = complete.get(key)
-            if incoming is not None:
-                incoming.add(source)
-                continue
-            incoming = complete[key] = {source}
-            nodes.append((node_id, incoming, *key))
-            counter += 1
-            stack.append((counter, node_id, sorted(nxt, key=rank.__getitem__), set(), set()))
+                leaves.append(((old, nxt), splits, split, half))
+        return leaves, splits
 
-    states = [
-        BuchiState(
-            node_id,
-            tuple(sorted(table.literal[f] for f in old if f in table.literal)),
-        )
-        for node_id, _, old, _ in nodes
-    ]
-    initial = [node_id for node_id, incoming, _, _ in nodes if _INIT in incoming]
-    transitions: dict[int, list[int]] = {node_id: [] for node_id, _, _, _ in nodes}
-    for node_id, incoming, _, _ in nodes:
-        for source in incoming:
-            if source != _INIT:
-                transitions[source].append(node_id)
+    def frame(seed: int, node_id: int) -> tuple:
+        leaves, splits = expand(seed)
+        return seed, iter(leaves), [node_id], splits
+
+    root = 1 << table.root
+    ids: dict[tuple[int, int], int] = {}
+    nodes: list[tuple[int, tuple[int, int]]] = []  # in creation order
+    replayed: set[int] = set()
+    counter = 1
+    stack = [frame(root, counter)]
+    while stack:
+        seed, leaves, at, splits = stack[-1]
+        for key, before, split, half in leaves:
+            while len(at) <= before:
+                at.append(counter)
+                counter += 2
+            if key in ids:
+                continue
+            node_id = ids[key] = at[split] + half
+            nodes.append((node_id, key))
+            counter += 1
+            if key[1] not in replayed:
+                stack.append(frame(key[1], counter))
+                break
+            counter += 2 * expand(key[1])[1]
+        else:
+            stack.pop()
+            replayed.add(seed)
+            counter += 2 * (splits + 1 - len(at))
+
+    literal_mask = sum(1 << f for f in table.literal)
+    labels: dict[int, tuple[tuple[str, bool], ...]] = {}
+    successors: dict[int, tuple[int, ...]] = {}
+    states, transitions = [], {}
+    for node_id, (old, nxt) in nodes:
+        lits = old & literal_mask
+        if lits not in labels:
+            labels[lits] = tuple(sorted(lit for f, lit in table.literal.items() if lits >> f & 1))
+        states.append(BuchiState(node_id, labels[lits]))
+        if nxt not in successors:
+            successors[nxt] = tuple(sorted({ids[leaf[0]] for leaf in expand(nxt)[0]}))
+        transitions[node_id] = successors[nxt]
+    roots = {leaf[0] for leaf in expand(root)[0]}
+    initial = [node_id for node_id, key in nodes if key in roots]
     acceptance = [
         frozenset(
             node_id
-            for node_id, _, old, _ in nodes
-            if until not in old or right[until] in old
+            for node_id, (old, _) in nodes
+            if not old >> until & 1 or old >> right[until] & 1
         )
         for until in table.until_subformulas()
     ]
-    return BuchiAutomaton(
-        states,
-        initial,
-        {k: tuple(sorted(v)) for k, v in transitions.items()},
-        acceptance,
-    )
-
+    return BuchiAutomaton(states, initial, transitions, acceptance)

@@ -170,6 +170,9 @@ def cmd_check(args) -> int:
     if args.cap < 1:
         print("error: --cap must be positive", file=sys.stderr)
         return EXIT_ERROR
+    if args.depth is not None and args.depth < 1:
+        print("error: --depth must be positive", file=sys.stderr)
+        return EXIT_ERROR
     if args.engine == "nusmv" and (args.depth is not None or args.dump_states):
         print(
             "error: --depth and --dump-states need the internal engine "

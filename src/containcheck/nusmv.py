@@ -114,14 +114,14 @@ def parse_output(raw: str) -> list[Verdict]:
     carrying unprinted variables forward; the loop begins at the state
     following the loop marker. A trailing repetition of the loop's first
     state (the checker's way of closing the loop) is dropped. Lines that do
-    not belong to the known layout, and a loop marker with no state after
-    it, raise OutputParseError.
+    not belong to the known layout, a false verdict with no trace after it
+    and a loop marker with no state after it raise OutputParseError.
     """
     verdicts: list[Verdict] = []
     pending_formula: ltl.Formula | None = None
     states: list[dict[str, str]] = []
     loop_index: int | None = None
-    loop_marker = (0, "")
+    verdict_line = loop_marker = (0, "")
     in_trace = False
 
     def flush() -> None:
@@ -129,7 +129,9 @@ def parse_output(raw: str) -> list[Verdict]:
         if pending_formula is None:
             return
         if not states:
-            raise OutputParseError(0, "counterexample trace missing after a false verdict")
+            raise OutputParseError(
+                *verdict_line, "counterexample trace missing after a false verdict"
+            )
         if loop_index == len(states):
             raise OutputParseError(*loop_marker, "loop marker with no state after it")
         verdicts.append(
@@ -150,6 +152,7 @@ def parse_output(raw: str) -> list[Verdict]:
                 verdicts.append(Verdict(formula, True))
             else:
                 pending_formula = formula
+                verdict_line = (line_number, line)
                 in_trace = True
             continue
         if _LOOP_LINE.match(stripped):

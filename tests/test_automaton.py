@@ -1,5 +1,6 @@
-"""Tableau construction: every automaton field against a reference copy of
-the straightforward recursive construction, plus size and depth."""
+"""Tableau construction: every automaton field against two reference
+copies, the straightforward recursive construction and the iterative one
+that expands every pending node anew, plus size and depth."""
 
 from __future__ import annotations
 
@@ -18,7 +19,19 @@ from conftest import (
     random_formula,
 )
 from containcheck import ltl
-from containcheck.automaton import BuchiAutomaton, BuchiState, automaton_for_negation
+from containcheck.automaton import (
+    _AND,
+    _FALSE,
+    _LIT,
+    _NEXT,
+    _OR,
+    _TRUE,
+    _UNTIL,
+    BuchiAutomaton,
+    BuchiState,
+    _Interned,
+    automaton_for_negation,
+)
 from containcheck.ingest import load_model
 
 # --- reference construction ----------------------------------------------
@@ -225,6 +238,96 @@ def reference_build(formula: NnfFormula) -> BuchiAutomaton:
     )
 
 
+def iterative_reference(formula: ltl.Formula) -> BuchiAutomaton:
+    """The interned tableau with one explicit stack of pending nodes, each
+    expanded anew, complete nodes merged through a dict and their sources
+    collected as incoming sets. Fast enough for the decision template's
+    big automata, which the recursive reference cannot reach.
+
+    A pending node is (id, source, new, old, next). A split pushes its
+    second half before its first, so nodes get the ids a depth-first
+    expansion gives them.
+    """
+    table = _Interned(ltl.Not(formula))
+    kind, left, right = table.kind, table.left, table.right
+    complement, rank = table.complement, table.repr_ranks()
+
+    nodes: list[tuple[int, set[int], frozenset[int], frozenset[int]]] = []
+    complete: dict[tuple[frozenset[int], frozenset[int]], set[int]] = {}
+    counter = 1
+    stack = [(counter, _INIT, [table.root], set(), set())]
+    while stack:
+        node_id, source, new, old, nxt = stack.pop()
+        for i, f in enumerate(new, 1):
+            if f in old:
+                continue
+            k = kind[f]
+            if k == _TRUE:
+                continue
+            if k == _FALSE:
+                break
+            if k == _LIT:
+                if complement[f] in old:
+                    break
+                old.add(f)
+                continue
+            if k == _AND:
+                old.add(f)
+                for part in (left[f], right[f]):
+                    if part not in old and part not in new[i:]:
+                        new.append(part)
+                continue
+            if k == _NEXT:
+                old.add(f)
+                nxt.add(left[f])
+                continue
+            rest = new[i:]
+            old.add(f)
+            if k == _OR:
+                first = (rest + [left[f]], nxt)
+                second = (rest + [right[f]], set(nxt))
+            elif k == _UNTIL:
+                first = (rest + [left[f]], nxt | {f})
+                second = (rest + [right[f]], nxt)
+            else:
+                first = (rest + [right[f]], nxt | {f})
+                second = (rest + [left[f], right[f]], nxt)
+            stack.append((counter + 2, source, second[0], set(old), second[1]))
+            stack.append((counter + 1, source, first[0], old, first[1]))
+            counter += 2
+            break
+        else:
+            key = (frozenset(old), frozenset(nxt))
+            incoming = complete.get(key)
+            if incoming is not None:
+                incoming.add(source)
+                continue
+            incoming = complete[key] = {source}
+            nodes.append((node_id, incoming, *key))
+            counter += 1
+            stack.append((counter, node_id, sorted(nxt, key=rank.__getitem__), set(), set()))
+
+    states = [
+        BuchiState(node_id, tuple(sorted(table.literal[f] for f in old if f in table.literal)))
+        for node_id, _, old, _ in nodes
+    ]
+    initial = [node_id for node_id, incoming, _, _ in nodes if _INIT in incoming]
+    transitions: dict[int, list[int]] = {node_id: [] for node_id, _, _, _ in nodes}
+    for node_id, incoming, _, _ in nodes:
+        for source in incoming:
+            if source != _INIT:
+                transitions[source].append(node_id)
+    acceptance = [
+        frozenset(
+            node_id for node_id, _, old, _ in nodes if until not in old or right[until] in old
+        )
+        for until in table.until_subformulas()
+    ]
+    return BuchiAutomaton(
+        states, initial, {k: tuple(sorted(v)) for k, v in transitions.items()}, acceptance
+    )
+
+
 # --- comparison ----------------------------------------------------------
 
 
@@ -240,6 +343,11 @@ def fields(auto: BuchiAutomaton) -> tuple:
 
 def assert_matches_reference(formula: ltl.Formula) -> None:
     expected = reference_build(reference_to_nnf(formula, negate=True))
+    assert fields(automaton_for_negation(formula)) == fields(expected), ltl.render_formula(formula)
+
+
+def assert_matches_iterative(formula: ltl.Formula) -> None:
+    expected = iterative_reference(formula)
     assert fields(automaton_for_negation(formula)) == fields(expected), ltl.render_formula(formula)
 
 
@@ -278,6 +386,24 @@ def test_random_formulas_match_reference():
         assert_matches_reference(ltl.Not(formula))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [decision_model(6), decision_model(7), fork_of_decisions_model(4)],
+    ids=lambda model: model.name,
+)
+def test_big_automata_match_iterative_reference(model):
+    for formula in property_formulas(model):
+        assert_matches_iterative(formula)
+
+
+def test_random_formulas_match_iterative_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        formula = random_formula(rng, ["a", "b", "c", "d"], rng.randint(1, 7))
+        assert_matches_iterative(formula)
+        assert_matches_iterative(ltl.Not(formula))
+
+
 def test_shared_subformula_objects_match_reference():
     # One object reached along several paths, under one polarity or both:
     # the translation memoizes on (object identity, polarity).
@@ -302,6 +428,15 @@ def test_seven_way_decision_size():
         if prop.primitive is ltl.Primitive.DECISION
     ]
     assert len(automaton_for_negation(decision).states) == 9222
+
+
+def test_eight_way_decision_size():
+    (decision,) = [
+        prop.formula
+        for prop in ltl.generate_properties(decision_model(8))
+        if prop.primitive is ltl.Primitive.DECISION
+    ]
+    assert len(automaton_for_negation(decision).states) == 36178
 
 
 def test_formula_deeper_than_the_recursion_limit():

@@ -166,9 +166,16 @@ class TestCheck:
         assert run("check", HIGH, LOW_SAT, "--cap", "0") == 2
         assert "--cap must be positive" in capsys.readouterr().err
 
-    def test_nonpositive_depth_rejected(self, capsys):
-        assert run("check", HIGH, LOW_SAT, "--depth", "0") == 2
-        assert "depth must be positive" in capsys.readouterr().err
+    def test_nonpositive_depth_rejected(self, monkeypatch, capsys):
+        def no_check(*args, **kwargs):
+            raise AssertionError("no property may be checked")
+
+        monkeypatch.setattr(cli.checker, "check_all", no_check)
+        for depth in ("0", "-1"):
+            assert run("check", HIGH, LOW_SAT, "--depth", depth) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --depth must be positive\n"
 
     def test_dump_states(self, capsys):
         assert run("check", HIGH, LOW_SAT, "--dump-states") == 0
@@ -330,4 +337,20 @@ class TestEngineBoth:
         assert captured.err == (
             f"error: loop marker with no state after it at line {marker + 1}: "
             "'-- Loop starts here'\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_false_verdict_without_trace_is_a_parse_error(self, tmp_path, capsys, fmt):
+        # Keep the verdict lines only: the false one loses its trace.
+        lines = self.internal_report(capsys, LOW_UNSAT).splitlines(keepends=True)
+        report = "".join(line for line in lines if line.startswith("-- specification"))
+        tool = self.stub_tool(tmp_path, report)
+        argv = ("check", HIGH, LOW_UNSAT, "--engine", "nusmv", "--format", fmt)
+        assert run(*argv, "--nusmv-path", tool) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: counterexample trace missing after a false verdict at line 2: "
+            "'-- specification G (VerifyCreditCard -> F ReplyCreditCardNotOK xor "
+            "F CreateOrderBusinessObject) is false'\n"
         )

@@ -179,6 +179,17 @@ class TestParseOutput:
             "loop marker with no state after it at line 4: '-- Loop starts here'"
         )
 
+    @pytest.mark.parametrize("tail", ["", "-- specification F a is true\n"])
+    def test_false_verdict_without_trace(self, tail):
+        bad = "-- specification G a is true\n-- specification G a is false\n" + tail
+        with pytest.raises(OutputParseError) as info:
+            parse_output(bad)
+        assert info.value.line_number == 2
+        assert str(info.value) == (
+            "counterexample trace missing after a false verdict at line 2: "
+            "'-- specification G a is false'"
+        )
+
     def test_round_trip_of_internal_report(
         self, low_unsat_system, low_sat_system, high_model
     ):
