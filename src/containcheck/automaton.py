@@ -26,20 +26,20 @@ Cost tracks the automaton, not the formula's printed size:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 
 from . import ltl
+from .record import Record, setfield
 
 
 # --- translation ---------------------------------------------------------
 
-# The tableau seeds each successor with its next obligations in repr
-# order: the order of their reprs as frozen dataclasses NAnd, NFalse, NLit,
-# NNext, NOr, NRelease, NTrue and NUntil, with fields (left, right), (atom,
-# negated) or (operand). State ids, and so every counterexample, depend on
-# that order. Kind codes follow those class names, so they compare as the
-# reprs' heads do.
+# The tableau seeds each successor with its next obligations in one fixed
+# order, and state ids, so every counterexample, depend on it: by kind
+# code, then by the ranks of the operands, left first; a literal by
+# repr(atom), then by negated (see `_Interned.repr_ranks`). The kind codes
+# follow the alphabetical order of the kinds' names; reordering them
+# would renumber every automaton.
 _AND, _FALSE, _LIT, _NEXT, _OR, _RELEASE, _TRUE, _UNTIL = range(8)
 _BINARY = (_AND, _OR, _RELEASE, _UNTIL)
 
@@ -207,10 +207,12 @@ class _Interned:
 
 # --- tableau construction ------------------------------------------------
 
-@dataclass(frozen=True)
-class BuchiState:
-    id: int
-    literals: tuple[tuple[str, bool], ...]  # (atom, negated), sorted
+class BuchiState(Record):
+    __slots__ = ("id", "literals")
+
+    def __init__(self, id: int, literals: tuple[tuple[str, bool], ...]) -> None:
+        setfield(self, "id", id)
+        setfield(self, "literals", literals)  # (atom, negated), sorted
 
 
 class BuchiAutomaton:

@@ -23,10 +23,10 @@ violations found within the bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import ltl
 from .automaton import BuchiAutomaton, automaton_for_negation
+from .record import Record, setfield
 from .semantics import (
     DEFAULT_STATE_CAP,
     StateCapExceeded,
@@ -50,8 +50,7 @@ class CounterexampleUnsound(Exception):
     property under direct re-evaluation."""
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Record):
     """A violating infinite word: prefix once, then the loop forever.
 
     States are stored as printable value tuples aligned with var_names
@@ -60,9 +59,14 @@ class Lasso:
     state was reconstructed from partial external output.
     """
 
-    var_names: tuple[str, ...]
-    prefix: tuple[tuple, ...]
-    loop: tuple[tuple, ...]
+    __slots__ = ("var_names", "prefix", "loop")
+
+    def __init__(
+        self, var_names: tuple[str, ...], prefix: tuple[tuple, ...], loop: tuple[tuple, ...]
+    ) -> None:
+        setfield(self, "var_names", var_names)
+        setfield(self, "prefix", prefix)
+        setfield(self, "loop", loop)
 
     def _to_dict(self, row) -> dict:
         return {
@@ -78,17 +82,24 @@ class Lasso:
         return [self._to_dict(row) for row in self.loop]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    formula: ltl.Formula
-    holds: bool
-    counterexample: Lasso | None = None
-    primitive: ltl.Primitive | None = None
-    origin: str | None = None
+class Verdict(Record):
+    __slots__ = ("formula", "holds", "counterexample", "primitive", "origin")
 
-    def __post_init__(self) -> None:
-        if self.holds == (self.counterexample is not None):
+    def __init__(
+        self,
+        formula: ltl.Formula,
+        holds: bool,
+        counterexample: Lasso | None = None,
+        primitive: ltl.Primitive | None = None,
+        origin: str | None = None,
+    ) -> None:
+        if holds == (counterexample is not None):
             raise ValueError("a counterexample is present exactly when the property fails")
+        setfield(self, "formula", formula)
+        setfield(self, "holds", holds)
+        setfield(self, "counterexample", counterexample)
+        setfield(self, "primitive", primitive)
+        setfield(self, "origin", origin)
 
 
 def _check_atoms(sys: TransitionSystem, formula: ltl.Formula) -> None:

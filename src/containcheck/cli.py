@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checker, ingest, ltl, nusmv, semantics, smv
+from . import checker, ingest, ltl, semantics, smv
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -35,9 +35,6 @@ def main(argv: list[str] | None = None) -> int:
         semantics.StateCapExceeded,
         checker.UnknownAtomError,
         checker.OracleError,
-        nusmv.ToolNotFound,
-        nusmv.ToolRunError,
-        nusmv.OutputParseError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -207,8 +204,15 @@ def cmd_check(args) -> int:
 
     external_verdicts = None
     if args.engine in ("nusmv", "both"):
-        raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
-        external_verdicts = nusmv.parse_output(raw)
+        # Imported here: it loads subprocess, which no other run needs.
+        from . import nusmv
+
+        try:
+            raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
+            external_verdicts = nusmv.parse_output(raw)
+        except (nusmv.ToolNotFound, nusmv.ToolRunError, nusmv.OutputParseError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         if len(external_verdicts) != len(properties):
             print(
                 f"error: external checker reported {len(external_verdicts)} "

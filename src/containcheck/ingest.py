@@ -13,35 +13,49 @@ omitted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .model import ActivityModel, Edge, ID_PATTERN, Node, NodeKind, validate
+from .record import Record, setfield
 
 NODE_KEYWORDS = {k.value for k in NodeKind}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int
-    column: int
+class SourceSpan(Record):
+    __slots__ = ("file", "line", "column")
+
+    def __init__(self, file: str, line: int, column: int) -> None:
+        setfield(self, "file", file)
+        setfield(self, "line", line)
+        setfield(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(Record):
     """One parse or validation failure, located by source span (DSL input)
-    or JSON pointer (JSON input)."""
+    or by file and JSON pointer (JSON input, or a file that is not text)."""
 
-    message: str
-    span: SourceSpan | None = None
-    pointer: str | None = None
-    expected: tuple[str, ...] | None = None
+    __slots__ = ("message", "span", "pointer", "expected", "file")
+
+    def __init__(
+        self,
+        message: str,
+        span: SourceSpan | None = None,
+        pointer: str | None = None,
+        expected: tuple[str, ...] | None = None,
+        file: str | None = None,
+    ) -> None:
+        setfield(self, "message", message)
+        setfield(self, "span", span)
+        setfield(self, "pointer", pointer)
+        setfield(self, "expected", expected)
+        setfield(self, "file", file)
 
     def __str__(self) -> str:
         where = str(self.span) if self.span else (self.pointer or "?")
+        if self.file:
+            where = f"{self.file}: {where}"
         return f"{where}: {self.message}"
 
 
@@ -53,12 +67,14 @@ class IngestError(Exception):
         self.errors = errors
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'word', 'arrow', 'punct', 'guard', 'eof'
-    text: str
-    line: int
-    column: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        setfield(self, "kind", kind)  # 'word', 'arrow', 'punct', 'guard', 'eof'
+        setfield(self, "text", text)
+        setfield(self, "line", line)
+        setfield(self, "column", column)
 
 
 def _tokenize(text: str, origin: str) -> tuple[list[_Token], list[ParseError]]:
@@ -269,89 +285,93 @@ def parse_dsl(text: str, origin: str = "<string>") -> ActivityModel | list[Parse
     return model
 
 
-def parse_json(text: str) -> ActivityModel | list[ParseError]:
+def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[ParseError]:
     """Parse the JSON interchange format.
 
     Schema: {"name", "nodes": [{"id", "kind", "name"?}],
     "edges": [{"source", "target", "guard"?}]}. Unknown fields are
-    rejected; errors carry JSON-pointer locations.
+    rejected; errors carry `origin` and JSON-pointer locations.
     """
     errors: list[ParseError] = []
+
+    def located(message: str, pointer: str) -> ParseError:
+        return ParseError(message, pointer=pointer, file=origin)
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        return [ParseError(f"invalid JSON: {exc.msg}", pointer=f"line {exc.lineno}")]
+        return [located(f"invalid JSON: {exc.msg}", f"line {exc.lineno}")]
     if not isinstance(doc, dict):
-        return [ParseError("top-level value must be an object", pointer="/")]
+        return [located("top-level value must be an object", "/")]
 
     def check_fields(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
         for key in obj:
             if key not in allowed:
-                errors.append(ParseError(f"unknown field {key!r}", pointer=f"{where}/{key}"))
+                errors.append(located(f"unknown field {key!r}", f"{where}/{key}"))
         for key in required:
             if key not in obj:
-                errors.append(ParseError(f"missing field {key!r}", pointer=where or "/"))
+                errors.append(located(f"missing field {key!r}", where or "/"))
 
     check_fields(doc, {"name", "nodes", "edges"}, {"name", "nodes", "edges"}, "")
     name = doc.get("name")
     if "name" in doc and not isinstance(name, str):
-        errors.append(ParseError("'name' must be a string", pointer="/name"))
+        errors.append(located("'name' must be a string", "/name"))
 
     nodes: list[Node] = []
     raw_nodes = doc.get("nodes", [])
     if not isinstance(raw_nodes, list):
-        errors.append(ParseError("'nodes' must be an array", pointer="/nodes"))
+        errors.append(located("'nodes' must be an array", "/nodes"))
         raw_nodes = []
     seen_ids: set[str] = set()
     for i, item in enumerate(raw_nodes):
         where = f"/nodes/{i}"
         if not isinstance(item, dict):
-            errors.append(ParseError("node must be an object", pointer=where))
+            errors.append(located("node must be an object", where))
             continue
         check_fields(item, {"id", "kind", "name"}, {"id", "kind"}, where)
         node_id = item.get("id")
         kind_text = item.get("kind")
         if not isinstance(node_id, str) or not ID_PATTERN.match(node_id):
-            errors.append(ParseError(f"illegal node id {node_id!r}", pointer=f"{where}/id"))
+            errors.append(located(f"illegal node id {node_id!r}", f"{where}/id"))
             continue
         if node_id in seen_ids:
-            errors.append(ParseError(f"duplicate node id {node_id!r}", pointer=f"{where}/id"))
+            errors.append(located(f"duplicate node id {node_id!r}", f"{where}/id"))
             continue
         seen_ids.add(node_id)
         try:
             kind = NodeKind.from_string(kind_text if isinstance(kind_text, str) else "")
         except ValueError:
-            errors.append(ParseError(f"unknown node kind {kind_text!r}", pointer=f"{where}/kind"))
+            errors.append(located(f"unknown node kind {kind_text!r}", f"{where}/kind"))
             continue
         display = item.get("name", "")
         if "name" in item and not isinstance(display, str):
-            errors.append(ParseError("'name' must be a string", pointer=f"{where}/name"))
+            errors.append(located("'name' must be a string", f"{where}/name"))
             display = ""
         nodes.append(Node(node_id, kind, display))
 
     edges: list[Edge] = []
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
-        errors.append(ParseError("'edges' must be an array", pointer="/edges"))
+        errors.append(located("'edges' must be an array", "/edges"))
         raw_edges = []
     for i, item in enumerate(raw_edges):
         where = f"/edges/{i}"
         if not isinstance(item, dict):
-            errors.append(ParseError("edge must be an object", pointer=where))
+            errors.append(located("edge must be an object", where))
             continue
         check_fields(item, {"source", "target", "guard"}, {"source", "target"}, where)
         src, dst = item.get("source"), item.get("target")
         ok = True
         for key, val in (("source", src), ("target", dst)):
             if not isinstance(val, str):
-                errors.append(ParseError(f"'{key}' must be a string", pointer=f"{where}/{key}"))
+                errors.append(located(f"'{key}' must be a string", f"{where}/{key}"))
                 ok = False
             elif val not in seen_ids:
-                errors.append(ParseError(f"unknown node reference {val!r}", pointer=f"{where}/{key}"))
+                errors.append(located(f"unknown node reference {val!r}", f"{where}/{key}"))
                 ok = False
         guard = item.get("guard")
         if "guard" in item and not isinstance(guard, str):
-            errors.append(ParseError("'guard' must be a string", pointer=f"{where}/guard"))
+            errors.append(located("'guard' must be a string", f"{where}/guard"))
             ok = False
         if ok:
             edges.append(Edge(src, dst, guard))
@@ -362,7 +382,7 @@ def parse_json(text: str) -> ActivityModel | list[ParseError]:
     problems = validate(model)
     if problems:
         return [
-            ParseError(str(v), pointer=f"/nodes" if v.node_id else "/edges") for v in problems
+            located(str(v), "/nodes" if v.node_id else "/edges") for v in problems
         ]
     return model
 
@@ -383,11 +403,22 @@ def print_dsl(model: ActivityModel) -> str:
 
 def load_model(path: str) -> ActivityModel:
     """Read a model from a .behavior (DSL) or .json file; raise IngestError
-    with located messages when the content does not parse or validate."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with located messages when the content is not UTF-8 text or does not
+    parse or validate."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.start is its offset.
+        bad = exc.object[exc.start]
+        error = ParseError(
+            f"not UTF-8 text: byte 0x{bad:02x} ({exc.reason})",
+            pointer=f"offset {exc.start}",
+            file=path,
+        )
+        raise IngestError([error]) from None
     if path.endswith(".json"):
-        result = parse_json(text)
+        result = parse_json(text, origin=path)
     else:
         result = parse_dsl(text, origin=path)
     if isinstance(result, list):

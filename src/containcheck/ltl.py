@@ -12,75 +12,78 @@ Five templates drive generation, one per control-flow construct:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import ActivityModel, NodeKind, is_acyclic, validate
+from .record import Record, setfield
 
 
-class Formula:
+class Formula(Record):
     """Base class for formula nodes; all subclasses are frozen and hashable."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
+class _Unary(Formula):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula) -> None:
+        setfield(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    operand: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    operand: Formula
+class Always(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    operand: Formula
+class Eventually(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Xor(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Xor(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
 
 
 _UNARY = {Not: "!", Always: "G", Eventually: "F", Next: "X"}
@@ -324,11 +327,13 @@ class Primitive(Enum):
     MERGE = "merge"
 
 
-@dataclass(frozen=True)
-class GeneratedProperty:
-    formula: Formula
-    origin: str  # node id that induced the property
-    primitive: Primitive
+class GeneratedProperty(Record):
+    __slots__ = ("formula", "origin", "primitive")
+
+    def __init__(self, formula: Formula, origin: str, primitive: Primitive) -> None:
+        setfield(self, "formula", formula)
+        setfield(self, "origin", origin)  # node id that induced the property
+        setfield(self, "primitive", primitive)
 
 
 class GenerationError(Exception):

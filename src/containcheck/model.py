@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+
+from .record import Record, setfield
 
 ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -39,28 +40,29 @@ STRUCTURAL_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: NodeKind
-    # Display name, defaulting to the id. Cosmetic: excluded from equality
-    # so the DSL (which has no name syntax) round-trips JSON models too.
-    name: str = field(default="", compare=False)
+class Node(Record, compare=("id", "kind")):
+    __slots__ = ("id", "kind", "name")
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            object.__setattr__(self, "name", self.id)
+    def __init__(self, id: str, kind: NodeKind, name: str = "") -> None:
+        setfield(self, "id", id)
+        setfield(self, "kind", kind)
+        # Display name, defaulting to the id. Cosmetic: excluded from
+        # equality so the DSL (which has no name syntax) round-trips JSON
+        # models too.
+        setfield(self, "name", name or id)
 
     @property
     def structural(self) -> bool:
         return self.kind in STRUCTURAL_KINDS
 
 
-@dataclass(frozen=True)
-class Edge:
-    source: str
-    target: str
-    guard: str | None = None
+class Edge(Record):
+    __slots__ = ("source", "target", "guard")
+
+    def __init__(self, source: str, target: str, guard: str | None = None) -> None:
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "guard", guard)
 
 
 def synthetic_guard(decision_id: str, target_id: str) -> str:
@@ -69,8 +71,7 @@ def synthetic_guard(decision_id: str, target_id: str) -> str:
     return f"guard_{decision_id}_{target_id}"
 
 
-@dataclass(frozen=True)
-class ActivityModel:
+class ActivityModel(Record):
     """Immutable control-flow graph shared by both abstraction levels.
 
     Construction normalizes fully-unguarded decision branches to synthetic
@@ -85,16 +86,14 @@ class ActivityModel:
     name, nodes and edges.
     """
 
-    name: str
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ("name", "nodes", "edges", "_by_id", "_out", "_in")
 
     def __init__(self, name: str, nodes, edges) -> None:
         nodes = tuple(nodes)
         edges = self._label_decisions(nodes, tuple(edges))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        setfield(self, "name", name)
+        setfield(self, "nodes", nodes)
+        setfield(self, "edges", edges)
         by_id: dict[str, Node] = {}
         for n in nodes:
             by_id.setdefault(n.id, n)
@@ -103,9 +102,9 @@ class ActivityModel:
         for e in edges:
             out.setdefault(e.source, []).append(e)
             into.setdefault(e.target, []).append(e)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_out", {k: tuple(v) for k, v in out.items()})
-        object.__setattr__(self, "_in", {k: tuple(v) for k, v in into.items()})
+        setfield(self, "_by_id", by_id)
+        setfield(self, "_out", {k: tuple(v) for k, v in out.items()})
+        setfield(self, "_in", {k: tuple(v) for k, v in into.items()})
 
     @staticmethod
     def _label_decisions(nodes, edges) -> tuple[Edge, ...]:
@@ -138,13 +137,17 @@ class ActivityModel:
         return self._in.get(node_id, ())
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One well-formedness failure, located at a node or an edge."""
 
-    message: str
-    node_id: str | None = None
-    edge: tuple[str, str] | None = None
+    __slots__ = ("message", "node_id", "edge")
+
+    def __init__(
+        self, message: str, node_id: str | None = None, edge: tuple[str, str] | None = None
+    ) -> None:
+        setfield(self, "message", message)
+        setfield(self, "node_id", node_id)
+        setfield(self, "edge", edge)
 
     def __str__(self) -> str:
         if self.node_id is not None:

@@ -1,0 +1,72 @@
+"""The base of every immutable value class: plain slotted records.
+
+A record class lists its fields in `__slots__` (after those of its record
+bases) and stores them from an explicit `__init__` with `setfield`, since
+assignment on a finished record raises. Slots whose names start with `_`
+hold private derived state (an index, say) and are not fields. Creating
+a record class generates no code, so importing the package stays cheap,
+and an explicit `__init__` builds a record as fast as a generated one.
+
+Records behave as frozen dataclasses do:
+- equal exactly when of the same class with equal compared fields (every
+  field unless the class passes `compare=(...)`);
+- hashed as the tuple of their compared fields;
+- printed as `Name(field=value, ...)` over every field;
+- `AttributeError` on any assignment or deletion;
+- copied and pickled by calling the class on the fields, so every
+  record's `__init__` takes its fields in order.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+#: Stores one field from a record's `__init__`, past the raising
+#: `__setattr__`.
+setfield = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())
+            if not name.startswith("_")
+        )
+        compared = cls._fields if compare is None else compare
+        if len(compared) > 1:
+            key = attrgetter(*compared)
+        elif compared:
+            get = attrgetter(*compared)
+            key = lambda record: (get(record),)
+        else:
+            key = lambda record: ()
+        # One getter per class: the compared fields as a tuple.
+        cls._key = staticmethod(key)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

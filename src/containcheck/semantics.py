@@ -11,10 +11,10 @@ decision arms expand into one successor per chosen value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .model import synthetic_guard
+from .record import Record, setfield
 from .smv import (
     AndCond,
     Choice,
@@ -160,11 +160,13 @@ def build_system(module: SmvModule) -> TransitionSystem:
     return TransitionSystem(module)
 
 
-@dataclass(frozen=True)
-class ReachableSet:
-    states: frozenset
-    transition_count: int
-    order: tuple  # BFS discovery order
+class ReachableSet(Record):
+    __slots__ = ("states", "transition_count", "order")
+
+    def __init__(self, states: frozenset, transition_count: int, order: tuple) -> None:
+        setfield(self, "states", states)
+        setfield(self, "transition_count", transition_count)
+        setfield(self, "order", order)  # BFS discovery order
 
 
 def reachable_states(sys: TransitionSystem, cap: int = DEFAULT_STATE_CAP) -> ReachableSet:

@@ -20,10 +20,9 @@ when the variable is idle, so behavior matches the per-kind templates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ltl
 from .model import ActivityModel, NodeKind, synthetic_guard, validate
+from .record import Record, setfield
 
 SMV_RESERVED = frozenset(
     {
@@ -35,66 +34,82 @@ SMV_RESERVED = frozenset(
 
 # --- condition and value expressions -----------------------------------
 
-class CondExpr:
+class CondExpr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VarTrue(CondExpr):
     """A boolean variable used as its own trigger."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class GuardEq(CondExpr):
-    var: str
-    value: str
+    __slots__ = ("var", "value")
+
+    def __init__(self, var: str, value: str) -> None:
+        setfield(self, "var", var)
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
 class NotUndetermined(CondExpr):
-    var: str
+    __slots__ = ("var",)
+
+    def __init__(self, var: str) -> None:
+        setfield(self, "var", var)
 
 
-@dataclass(frozen=True)
 class ConstTrue(CondExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class AndCond(CondExpr):
-    parts: tuple[CondExpr, ...]
-
-
-@dataclass(frozen=True)
-class OrCond(CondExpr):
-    parts: tuple[CondExpr, ...]
-
-
-class ValueExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+class _Junction(CondExpr):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[CondExpr, ...]) -> None:
+        setfield(self, "parts", parts)
+
+
+class AndCond(_Junction):
+    __slots__ = ()
+
+
+class OrCond(_Junction):
+    __slots__ = ()
+
+
+class ValueExpr(Record):
+    __slots__ = ()
+
+
 class Literal(ValueExpr):
     """TRUE, FALSE, undetermined, or a guard value."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        setfield(self, "text", text)
 
 
-@dataclass(frozen=True)
 class Keep(ValueExpr):
     """The variable's current value (the totalizing default)."""
 
-    var: str
+    __slots__ = ("var",)
+
+    def __init__(self, var: str) -> None:
+        setfield(self, "var", var)
 
 
-@dataclass(frozen=True)
 class Choice(ValueExpr):
     """Nondeterministic pick from a value set."""
 
-    values: tuple[str, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[str, ...]) -> None:
+        setfield(self, "values", values)
 
 
 def render_cond(cond: CondExpr) -> str:
@@ -125,28 +140,41 @@ def render_value(value: ValueExpr) -> str:
 
 # --- module structure ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SmvVarDecl:
-    name: str
-    scalar_values: tuple[str, ...] | None = None  # None means boolean
+class SmvVarDecl(Record):
+    __slots__ = ("name", "scalar_values")
+
+    def __init__(self, name: str, scalar_values: tuple[str, ...] | None = None) -> None:
+        setfield(self, "name", name)
+        setfield(self, "scalar_values", scalar_values)  # None means boolean
 
     @property
     def is_boolean(self) -> bool:
         return self.scalar_values is None
 
 
-@dataclass(frozen=True)
-class SmvAssign:
-    var: str
-    init: ValueExpr
-    cases: tuple[tuple[CondExpr, ValueExpr], ...]
+class SmvAssign(Record):
+    __slots__ = ("var", "init", "cases")
+
+    def __init__(
+        self, var: str, init: ValueExpr, cases: tuple[tuple[CondExpr, ValueExpr], ...]
+    ) -> None:
+        setfield(self, "var", var)
+        setfield(self, "init", init)
+        setfield(self, "cases", cases)
 
 
-@dataclass(frozen=True)
-class SmvModule:
-    vars: tuple[SmvVarDecl, ...]
-    assigns: tuple[SmvAssign, ...]
-    specs: tuple[str, ...] = field(default=())
+class SmvModule(Record):
+    __slots__ = ("vars", "assigns", "specs")
+
+    def __init__(
+        self,
+        vars: tuple[SmvVarDecl, ...],
+        assigns: tuple[SmvAssign, ...],
+        specs: tuple[str, ...] = (),
+    ) -> None:
+        setfield(self, "vars", vars)
+        setfield(self, "assigns", assigns)
+        setfield(self, "specs", specs)
 
     def var_decl(self, name: str) -> SmvVarDecl:
         for decl in self.vars:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,33 @@ class TestValidate:
             f"{path}:1:29: A: action requires at least 1 incoming edge\n"
             f"{path}:1:29: A: unreachable from the initial node\n"
         )
+
+    @pytest.mark.parametrize("suffix", [".behavior", ".json"])
+    def test_not_utf8_is_an_input_error(self, tmp_path, capsys, suffix):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(b"\xff\xfe")
+        message = f"{path}: offset 0: not UTF-8 text: byte 0xff (invalid start byte)\n"
+        assert run("validate", path) == 2
+        assert capsys.readouterr().err == message
+        assert run("check", HIGH, path) == 2
+        assert capsys.readouterr().err == "error: " + message
+
+    def test_bad_byte_offset_counts_from_the_file_start(self, tmp_path, capsys):
+        path = tmp_path / "late.behavior"
+        data = b"model M {\n  initial I\xe9;\n}"
+        path.write_bytes(data)
+        assert run("validate", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: offset {data.index(0xE9)}: not UTF-8 text: byte 0xe9")
+
+    def test_json_errors_name_their_file(self, tmp_path, capsys):
+        low = tmp_path / "low.json"
+        low.write_text('{"name": "M", "nodes": 3, "edges": []}')
+        assert run("check", HIGH, low) == 2
+        assert capsys.readouterr().err == f"error: {low}: /nodes: 'nodes' must be an array\n"
+        low.write_text('{"name":\n  oops}')
+        assert run("validate", low) == 2
+        assert capsys.readouterr().err == f"{low}: line 2: invalid JSON: Expecting value\n"
 
 
 class TestGenLtl:
@@ -187,7 +218,7 @@ class TestCheck:
         def no_tool(*args, **kwargs):
             raise AssertionError("no engine may run")
 
-        monkeypatch.setattr(cli.nusmv, "run_check", no_tool)
+        monkeypatch.setattr("containcheck.nusmv.run_check", no_tool)
         assert run("check", HIGH, LOW_SAT, "--engine", "nusmv", *extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -247,6 +278,33 @@ class TestCheck:
         low.write_text(print_dsl(chain_model(1200)))
         assert run("check", high, low, "--depth", 1300) == 0
         assert capsys.readouterr().out.count("is true") == 2
+
+
+class TestStartup:
+    # What a default run must not load: dataclasses brings in inspect (and
+    # with it ast and dis), and the NuSMV bridge brings in subprocess.
+    UNNEEDED = ("dataclasses", "inspect", "subprocess", "containcheck.nusmv")
+
+    def test_default_run_loads_no_unneeded_module(self):
+        child = (
+            "import sys\n"
+            f"unneeded = {self.UNNEEDED!r}\n"
+            "def loaded(): return [m for m in unneeded if m in sys.modules]\n"
+            "import containcheck.cli\n"
+            "after_import = loaded()\n"
+            f"code = containcheck.cli.main(['check', {str(HIGH)!r}, {str(LOW_SAT)!r}, '--format', 'json'])\n"
+            "print(repr((code, after_import, loaded())), file=sys.stderr)\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", child],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.stdout == (GOLDEN / "order_processing_low_sat.check.json").read_text()
+        assert result.stderr.splitlines()[-1] == repr((0, [], []))
 
 
 class TestInternalError:

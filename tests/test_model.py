@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
+
 import pytest
 
 from conftest import random_digraph
+from containcheck.checker import Lasso, Verdict
+from containcheck.ltl import And, Atom, GeneratedProperty, Next, Not, Or, Primitive, TrueConst
 from containcheck.model import (
     ActivityModel,
     Edge,
@@ -16,6 +22,8 @@ from containcheck.model import (
     synthetic_guard,
     validate,
 )
+from containcheck.record import Record
+from containcheck.smv import SmvModule
 
 
 def model_of(nodes, edges, name="M"):
@@ -282,3 +290,84 @@ class TestIndex:
         assert again == high_model and hash(again) == hash(high_model)
         assert repr(again) == repr(high_model)
         assert "_out" not in repr(high_model)
+
+
+class TestRecords:
+    """Value classes compare, hash, print, copy and refuse assignment as
+    frozen dataclasses do."""
+
+    def test_equality_needs_the_same_class(self):
+        a, b = Atom("a"), Atom("b")
+        assert Not(a) != Next(a) and Not(a) == Not(Atom("a"))
+        assert And(a, b) != Or(a, b) and And(a, b) == And(Atom("a"), Atom("b"))
+        assert a != "a" and a != ("a",)
+
+    def test_hash_is_the_compared_field_tuple(self):
+        conj = And(Atom("a"), TrueConst())
+        assert hash(conj) == hash(And(Atom("a"), TrueConst())) == hash((Atom("a"), TrueConst()))
+        assert hash(Atom("a")) == hash(("a",)) and hash(TrueConst()) == hash(())
+        assert hash(Edge("A", "B", "g")) == hash(("A", "B", "g"))
+
+    def test_display_name_is_not_compared(self):
+        shown = Node("x", NodeKind.ACTION, "Shown")
+        plain = Node("x", NodeKind.ACTION)
+        assert shown == plain and hash(shown) == hash(plain) == hash(("x", NodeKind.ACTION))
+        assert plain.name == "x" and shown.name == "Shown"
+        assert shown != Node("x", NodeKind.FINAL, "Shown")
+
+    def test_immutable(self):
+        for record, field in ((Atom("a"), "name"), (Node("x", NodeKind.ACTION), "name"), (MINIMAL, "edges")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, "other")
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            with pytest.raises(AttributeError):
+                record.undeclared = 1
+
+    def test_repr(self):
+        assert repr(Atom("a")) == "Atom(name='a')"
+        assert repr(Not(TrueConst())) == "Not(operand=TrueConst())"
+        assert repr(Node("x", NodeKind.ACTION)) == (
+            "Node(id='x', kind=<NodeKind.ACTION: 'action'>, name='x')"
+        )
+        assert repr(Edge("A", "B")) == "Edge(source='A', target='B', guard=None)"
+
+    def test_keyword_construction(self):
+        a = Atom(name="a")
+        assert And(left=a, right=a) == And(a, a)
+        assert Node(id="x", kind=NodeKind.ACTION, name="X").name == "X"
+        assert Edge(source="A", target="B").guard is None
+        assert SmvModule(vars=(), assigns=()).specs == ()
+        prop = GeneratedProperty(formula=a, origin="A", primitive=Primitive.SEQUENCE)
+        assert prop.origin == "A"
+        lasso = Lasso(var_names=("a",), prefix=(), loop=(("FALSE",),))
+        verdict = Verdict(formula=a, holds=False, counterexample=lasso, origin="A")
+        assert verdict.counterexample is lasso and verdict.primitive is None
+
+    def test_verdict_rejects_a_holds_counterexample_mismatch(self):
+        lasso = Lasso(("a",), (), (("FALSE",),))
+        with pytest.raises(ValueError, match="counterexample is present exactly"):
+            Verdict(Atom("a"), True, lasso)
+        with pytest.raises(ValueError, match="counterexample is present exactly"):
+            Verdict(Atom("a"), False)
+
+    def test_every_record_takes_its_fields_in_order(self):
+        # Copying and pickling call the class on the fields in order. The
+        # package's __init__ has imported every module defining records.
+        checked, stack = 0, [Record]
+        while stack:
+            cls = stack.pop()
+            stack += cls.__subclasses__()
+            if cls._fields:
+                params = list(inspect.signature(cls.__init__).parameters)[1:]
+                assert tuple(params) == cls._fields, cls
+                checked += 1
+        assert checked >= 30
+
+    def test_copy_and_pickle(self, high_model):
+        shown = Node("x", NodeKind.ACTION, "Shown")
+        for value in (And(Atom("a"), Atom("b")), shown, high_model):
+            for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+                assert clone(value) == value and repr(clone(value)) == repr(value)
+        again = pickle.loads(pickle.dumps(high_model))
+        assert again.outgoing("InitialNode1") == high_model.outgoing("InitialNode1")
