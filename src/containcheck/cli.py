@@ -25,10 +25,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ingest.IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (
+        OSError,
+        ingest.IngestError,
         ltl.GenerationError,
         smv.SmvGenerationError,
         smv.AtomMismatchError,
@@ -62,12 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ltl.add_argument("high", help="high-level model file")
     p_ltl.add_argument("-o", "--out", help="output file (default: stdout)")
-    p_ltl.add_argument(
-        "--join-mode",
-        choices=("always", "simultaneous"),
-        default="always",
-        help="join template variant (default: %(default)s)",
-    )
+    _add_join_mode(p_ltl, "join template variant (default: %(default)s)")
     p_ltl.set_defaults(handler=cmd_gen_ltl)
 
     p_smv = sub.add_parser(
@@ -80,12 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HIGH",
         help="also embed the LTLSPEC lines generated from this high-level model",
     )
-    p_smv.add_argument(
-        "--join-mode",
-        choices=("always", "simultaneous"),
-        default="always",
-        help="join template variant for --embed-ltl (default: %(default)s)",
-    )
+    _add_join_mode(p_smv, "join template variant for --embed-ltl (default: %(default)s)")
     p_smv.set_defaults(handler=cmd_gen_smv)
 
     p_check = sub.add_parser(
@@ -116,12 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
             "lasso enumeration up to this depth; divergence is an error"
         ),
     )
-    p_check.add_argument(
-        "--join-mode",
-        choices=("always", "simultaneous"),
-        default="always",
-        help="join template variant (default: %(default)s)",
-    )
+    _add_join_mode(p_check, "join template variant (default: %(default)s)")
     p_check.add_argument(
         "--dump-states",
         action="store_true",
@@ -130,6 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--nusmv-path", help="path to the external checker binary")
     p_check.set_defaults(handler=cmd_check)
     return parser
+
+
+def _add_join_mode(parser: argparse.ArgumentParser, help_text: str) -> None:
+    parser.add_argument(
+        "--join-mode", choices=("always", "simultaneous"), default="always", help=help_text
+    )
 
 
 def cmd_validate(args) -> int:

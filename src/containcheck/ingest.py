@@ -13,6 +13,7 @@ omitted.
 from __future__ import annotations
 
 import json
+import re
 
 from .model import ActivityModel, Edge, ID_PATTERN, Node, NodeKind, validate
 from .record import Record, setfield
@@ -77,65 +78,38 @@ class _Token(Record):
         setfield(self, "column", column)
 
 
+#: DSL tokens, one named group per kind. A comment runs to the end of
+#: its line, and so does a guard label with no `]` before the line ends.
+#: `re` compiles the pattern on first use.
+_DSL_TOKENS = (
+    r"(?P<blank>[ \t\r]+)|(?P<comment>//[^\n]*)|(?P<newline>\n)|(?P<arrow>->)"
+    r"|(?P<punct>[{};])|\[(?P<guard>[^\]\n]*)\]|(?P<unterminated>\[[^\n]*)"
+    r"|(?P<word>\w+)|(?P<bad>.)"
+)
+
+
 def _tokenize(text: str, origin: str) -> tuple[list[_Token], list[ParseError]]:
     tokens: list[_Token] = []
     errors: list[ParseError] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for match in re.finditer(_DSL_TOKENS, text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind in ("blank", "comment"):
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if text.startswith("->", i):
-            tokens.append(_Token("arrow", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{};":
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "[":
-            j = text.find("]", i)
-            if j == -1 or "\n" in text[i:j]:
-                errors.append(
-                    ParseError("unterminated guard label", SourceSpan(origin, start_line, start_col))
-                )
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            tokens.append(_Token("guard", text[i + 1 : j].strip(), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("word", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        errors.append(
-            ParseError(f"unexpected character {ch!r}", SourceSpan(origin, start_line, start_col))
-        )
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col))
+        column = match.start() - line_start + 1
+        if kind == "guard":
+            tokens.append(_Token(kind, match[kind].strip(), line, column))
+        elif kind == "unterminated":
+            errors.append(ParseError("unterminated guard label", SourceSpan(origin, line, column)))
+        elif kind == "bad":
+            message = f"unexpected character {match[0]!r}"
+            errors.append(ParseError(message, SourceSpan(origin, line, column)))
+        else:
+            tokens.append(_Token(kind, match[0], line, column))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens, errors
 
 

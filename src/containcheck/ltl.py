@@ -1,6 +1,11 @@
 """Temporal formulas over node-name atoms: AST, parser, renderer, and the
 compilation of an acyclic behavior model into its property set.
 
+One operator table gives each operator's spelling and binding strength;
+the renderer prints by it and the parser reads by it. Both walk explicit
+stacks (the parser is an iterative operator-precedence parser), so
+formulas of any depth parse and render.
+
 Five templates drive generation, one per control-flow construct:
 
     sequence   G (A1 -> F A2)
@@ -12,6 +17,7 @@ Five templates drive generation, one per control-flow construct:
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 
 from .model import ActivityModel, NodeKind, is_acyclic, validate
@@ -89,8 +95,9 @@ class Implies(_Binary):
 _UNARY = {Not: "!", Always: "G", Eventually: "F", Next: "X"}
 _BINARY = {And: "&", Or: "|", Xor: "xor", Implies: "->"}
 
-#: Binding strength, tightest first: unary, &, |, xor, ->.
-_PRECEDENCE = {And: 4, Or: 3, Xor: 2, Implies: 1}
+#: Binding strength, tightest first: unary, &, |, xor, ->. Implication
+#: associates right, the other binary operators left.
+_PRECEDENCE = {Not: 5, Always: 5, Eventually: 5, Next: 5, And: 4, Or: 3, Xor: 2, Implies: 1}
 
 #: Reserved words that cannot double as atoms in rendered formulas.
 RESERVED_ATOMS = frozenset({"G", "F", "X", "U", "R", "xor", "TRUE", "FALSE"})
@@ -161,14 +168,12 @@ def _render(formula: Formula) -> str:
         elif isinstance(f, FalseConst):
             pieces.append("FALSE")
         elif type(f) in _UNARY:
+            # A binary operand is parenthesized, since unary binds tighter,
+            # and then spaced off even from !.
             op = _UNARY[type(f)]
-            inner = f.operand
-            if isinstance(inner, (And, Or, Xor, Implies)):
-                pieces.append(f"{op} (")
-                stack += (")", (inner, 0))
-            else:
-                pieces.append(op if isinstance(f, Not) else f"{op} ")
-                stack.append((inner, 5))
+            bare = isinstance(f, Not) and type(f.operand) not in _BINARY
+            pieces.append(op if bare else f"{op} ")
+            stack.append((f.operand, _PRECEDENCE[type(f)]))
         else:
             level = _PRECEDENCE[type(f)]
             # Left child of a left-associative chain keeps the same level
@@ -194,129 +199,93 @@ class LtlSyntaxError(Exception):
 
 
 def parse_ltl(text: str) -> Formula:
-    """Parse a formula with precedence unary > & > | > xor > -> and a
-    right-associative implication."""
-    return _LtlParser(text).parse()
+    """Parse a formula by the renderer's operator table: unary operators
+    bind tightest, then &, |, xor and ->; implication associates right,
+    the others left.
 
+    An operator-precedence ("shunting-yard") parser, after Dijkstra
+    (1961): operands and pending operators wait on two explicit stacks, so
+    no nesting is too deep for it.
+    """
+    tokens = _lex_ltl(text)
+    prefix = {op: cls for cls, op in _UNARY.items()}
+    infix = {op: cls for cls, op in _BINARY.items()}
+    operands: list[Formula] = []
+    # Operators waiting for their operands, innermost last; None marks an
+    # open parenthesis.
+    pending: list[type[Formula] | None] = []
 
-class _LtlParser:
-    def __init__(self, text: str):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
+    def reduce(level: int) -> None:
+        """Apply the pending operators, up to the innermost open
+        parenthesis, that bind tighter than `level`, or as tightly and
+        associate left."""
+        while pending and pending[-1] is not None:
+            cls = pending[-1]
+            top = _PRECEDENCE[cls]
+            if top < level or (top == level and cls is Implies):
+                return
+            pending.pop()
+            if cls in _UNARY:
+                operands.append(cls(operands.pop()))
+            else:
+                right = operands.pop()
+                operands.append(cls(operands.pop(), right))
 
-    @staticmethod
-    def _tokenize(text: str) -> list[tuple[str, int, int]]:
-        tokens = []
-        line, col, i = 1, 1, 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line, col = line + 1, 1
-                i += 1
+    expect_operand = True
+    # The last token, the end of the input, either ends the parse or fails it.
+    for tok, line, column in tokens:
+        if expect_operand:
+            if tok in prefix or tok == "(":
+                pending.append(prefix.get(tok))  # None for "("
                 continue
-            if ch in " \t\r":
-                i += 1
-                col += 1
-                continue
-            if text.startswith("->", i):
-                tokens.append(("->", line, col))
-                i += 2
-                col += 2
-                continue
-            if ch in "()!&|":
-                tokens.append((ch, line, col))
-                i += 1
-                col += 1
-                continue
-            if ch.isalnum() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append((text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            raise LtlSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(("", line, col))
-        return tokens
+            if tok == "TRUE":
+                operands.append(TrueConst())
+            elif tok == "FALSE":
+                operands.append(FalseConst())
+            elif tok and (tok[0].isalpha() or tok[0] == "_") and tok not in RESERVED_ATOMS:
+                operands.append(Atom(tok))
+            else:
+                got = tok or "end of input"
+                raise LtlSyntaxError(f"expected a formula, got {got!r}", line, column)
+            expect_operand = False
+        elif tok in infix:
+            cls = infix[tok]
+            reduce(_PRECEDENCE[cls])
+            pending.append(cls)
+            expect_operand = True
+        else:
+            reduce(0)
+            if tok == ")" and pending:
+                pending.pop()
+            elif pending:
+                raise LtlSyntaxError("expected ')'", line, column)
+            elif tok:
+                raise LtlSyntaxError(f"unexpected token {tok!r}", line, column)
+            else:
+                return operands[0]
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
 
-    def take(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok[0]:
-            self.pos += 1
-        return tok[0]
+#: LTL tokens: blanks, line breaks, operators, parentheses and words; any
+#: other character is an error. `re` compiles it on first use.
+_LTL_TOKENS = r"(?P<blank>[ \t\r]+)|(?P<newline>\n)|(?P<token>->|[()!&|]|\w+)|(?P<bad>.)"
 
-    def error(self, message: str):
-        _, line, col = self.tokens[self.pos]
-        raise LtlSyntaxError(message, line, col)
 
-    def parse(self) -> Formula:
-        f = self.parse_implies()
-        if self.peek():
-            self.error(f"unexpected token {self.peek()!r}")
-        return f
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_xor()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_xor(self) -> Formula:
-        out = self.parse_or()
-        while self.peek() == "xor":
-            self.take()
-            out = Xor(out, self.parse_or())
-        return out
-
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            out = Or(out, self.parse_and())
-        return out
-
-    def parse_and(self) -> Formula:
-        out = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            out = And(out, self.parse_unary())
-        return out
-
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Not(self.parse_unary())
-        if tok in ("G", "F", "X"):
-            self.take()
-            cls = {"G": Always, "F": Eventually, "X": Next}[tok]
-            return cls(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            f = self.parse_implies()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return f
-        if tok == "TRUE":
-            self.take()
-            return TrueConst()
-        if tok == "FALSE":
-            self.take()
-            return FalseConst()
-        if tok and (tok[0].isalpha() or tok[0] == "_") and tok not in RESERVED_ATOMS:
-            self.take()
-            return Atom(tok)
-        self.error(f"expected a formula, got {tok or 'end of input'!r}")
+def _lex_ltl(text: str) -> list[tuple[str, int, int]]:
+    """(token, line, column) for each token, then ("", line, column) at
+    the end of the input."""
+    tokens = []
+    line, line_start = 1, 0
+    for match in re.finditer(_LTL_TOKENS, text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind != "blank":
+            column = match.start() - line_start + 1
+            if kind == "bad":
+                raise LtlSyntaxError(f"unexpected character {match[0]!r}", line, column)
+            tokens.append((match[0], line, column))
+    tokens.append(("", line, len(text) - line_start + 1))
+    return tokens
 
 
 class Primitive(Enum):

@@ -114,8 +114,9 @@ def parse_output(raw: str) -> list[Verdict]:
     carrying unprinted variables forward; the loop begins at the state
     following the loop marker. A trailing repetition of the loop's first
     state (the checker's way of closing the loop) is dropped. Lines that do
-    not belong to the known layout, a false verdict with no trace after it
-    and a loop marker with no state after it raise OutputParseError.
+    not belong to the known layout, a formula that does not parse, a false
+    verdict with no trace after it and a loop marker with no state after it
+    raise OutputParseError.
     """
     verdicts: list[Verdict] = []
     pending_formula: ltl.Formula | None = None
@@ -147,7 +148,11 @@ def parse_output(raw: str) -> list[Verdict]:
         spec = _SPEC_LINE.match(stripped)
         if spec:
             flush()
-            formula = ltl.parse_ltl(spec.group(1))
+            try:
+                formula = ltl.parse_ltl(spec.group(1))
+            except ltl.LtlSyntaxError as exc:
+                problem = f"formula does not parse ({exc})"
+                raise OutputParseError(line_number, line, problem) from None
             if spec.group(2) == "true":
                 verdicts.append(Verdict(formula, True))
             else:

@@ -62,6 +62,15 @@ class TestValidate:
             f"{path}:1:29: A: unreachable from the initial node\n"
         )
 
+    def test_malformed_model_matches_golden(self, monkeypatch, capsys):
+        # From the repository root, as in CI, so each message names the
+        # file as the golden does.
+        monkeypatch.chdir(GOLDEN.parents[1])
+        assert run("validate", "fixtures/golden/malformed.behavior") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (GOLDEN / "malformed.validate.txt").read_text()
+
     @pytest.mark.parametrize("suffix", [".behavior", ".json"])
     def test_not_utf8_is_an_input_error(self, tmp_path, capsys, suffix):
         path = tmp_path / f"bad{suffix}"
@@ -411,4 +420,16 @@ class TestEngineBoth:
             "error: counterexample trace missing after a false verdict at line 2: "
             "'-- specification G (VerifyCreditCard -> F ReplyCreditCardNotOK xor "
             "F CreateOrderBusinessObject) is false'\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unparsable_formula_is_a_parse_error(self, tmp_path, capsys, fmt):
+        tool = self.stub_tool(tmp_path, "-- specification G (a U b) is true\n")
+        argv = ("check", HIGH, LOW_SAT, "--engine", "nusmv", "--format", fmt)
+        assert run(*argv, "--nusmv-path", tool) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: formula does not parse (1:6: expected ')') at line 1: "
+            "'-- specification G (a U b) is true'\n"
         )

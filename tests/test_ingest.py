@@ -1,8 +1,11 @@
-"""DSL and JSON parsing, error locations, and print/parse round-trips."""
+"""DSL and JSON parsing, error locations, and print/parse round-trips;
+the DSL lexer also against a reference copy of the character loop it
+replaced."""
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,9 @@ from conftest import LOW_UNSAT, LOW_UNSAT_JSON, random_valid_model
 from containcheck.ingest import (
     IngestError,
     ParseError,
+    SourceSpan,
+    _tokenize,
+    _Token,
     load_model,
     parse_dsl,
     parse_json,
@@ -93,6 +99,32 @@ class TestParseDsl:
         ):
             for err in errors_of(parse_dsl(text, "x")):
                 assert err.span is not None
+
+    @pytest.mark.parametrize(
+        "tail, expected",
+        [
+            (
+                "// trailing comment",
+                [
+                    "c.behavior:2:49: expected ';', got 'end of input'",
+                    "c.behavior:2:49: expected '}' before end of input",
+                ],
+            ),
+            (
+                "[open guard",
+                [
+                    "c.behavior:2:30: unterminated guard label",
+                    "c.behavior:2:41: expected ';', got 'end of input'",
+                    "c.behavior:2:41: expected '}' before end of input",
+                ],
+            ),
+        ],
+        ids=["comment", "unclosed-guard"],
+    )
+    def test_end_of_input_errors_point_at_the_end(self, tail, expected):
+        # Text that makes no token still moves the end of the input.
+        text = "model M {\n  initial I; final F; I -> F " + tail
+        assert [str(e) for e in errors_of(parse_dsl(text, "c.behavior"))] == expected
 
     def test_fixture_parses(self):
         assert ok(parse_dsl(LOW_UNSAT.read_text(), str(LOW_UNSAT))).name == (
@@ -214,3 +246,98 @@ class TestLoadModel:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_model(str(tmp_path / "absent.behavior"))
+
+
+# --- reference lexer --------------------------------------------------------
+# The character loop the regex lexer replaced, as it was, except for the
+# end-of-input column: this copy leaves it where a trailing comment or an
+# unclosed guard label starts.
+
+
+def reference_tokenize(text: str, origin: str) -> tuple[list[_Token], list[ParseError]]:
+    tokens: list[_Token] = []
+    errors: list[ParseError] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if text.startswith("->", i):
+            tokens.append(_Token("arrow", "->", start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "{};":
+            tokens.append(_Token("punct", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == "[":
+            j = text.find("]", i)
+            if j == -1 or "\n" in text[i:j]:
+                errors.append(
+                    ParseError("unterminated guard label", SourceSpan(origin, start_line, start_col))
+                )
+                while i < n and text[i] != "\n":
+                    i += 1
+                continue
+            tokens.append(_Token("guard", text[i + 1 : j].strip(), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("word", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        errors.append(
+            ParseError(f"unexpected character {ch!r}", SourceSpan(origin, start_line, start_col))
+        )
+        i += 1
+        col += 1
+    tokens.append(_Token("eof", "", line, col))
+    return tokens, errors
+
+
+#: Pieces of random lexer input: the DSL's own words and punctuation, and
+#: characters on the edges of its classes (blanks it does not skip,
+#: letters and digits outside ASCII).
+LEXER_PIECES = [
+    "model", "M", "initial", "I", "final", "F_1", "a", "_", "7", "{", "}", ";",
+    "->", "-", ">", "//", "/", "[", "]", "[x > 3]", " ", "  ", "\t", "\n", "\r",
+    "\f", "\v", "\xa0", "\u00e9", "\u00df", "\u00b2", "\u0663", "%", "!",
+]
+
+
+def random_lexer_input(rng: random.Random) -> str:
+    return "".join(rng.choice(LEXER_PIECES) for _ in range(rng.randint(0, 24)))
+
+
+class TestLexerAgainstReference:
+    def test_random_inputs(self):
+        for seed in range(20_000):
+            text = random_lexer_input(random.Random(seed))
+            tokens, errors = _tokenize(text, "r.behavior")
+            expected_tokens, expected_errors = reference_tokenize(text, "r.behavior")
+            assert (tokens[:-1], errors) == (expected_tokens[:-1], expected_errors), repr(text)
+            # The end of the input is located where the text ends.
+            last_line = text.rsplit("\n", 1)[-1]
+            assert tokens[-1] == _Token("eof", "", text.count("\n") + 1, len(last_line) + 1)
+            assert tokens[-1].line == expected_tokens[-1].line

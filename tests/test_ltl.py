@@ -1,6 +1,6 @@
 """Property generation from the five templates, rendering, and parsing;
-generation and rendering also against reference copies of the recursive
-versions."""
+generation, rendering and parsing also against reference copies of the
+recursive versions."""
 
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from containcheck.ltl import (
     FalseConst,
     GenerationError,
     Implies,
+    RESERVED_ATOMS,
     LtlSyntaxError,
     Next,
     Not,
@@ -406,3 +407,200 @@ class TestDeepFormulas:
         expected = " & (".join(self.NAMES[:-1]) + f" & {self.NAMES[-1]}" + ")" * (self.DEPTH - 1)
         assert render_formula(formula) == expected
         assert atoms(formula) == set(self.NAMES)
+
+
+# --- reference parser -------------------------------------------------------
+# The recursive-descent parser the operator-precedence parser replaced, as
+# it was: one method per binding level, and a character-loop lexer.
+
+
+class ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = self._tokenize(text)
+        self.pos = 0
+
+    @staticmethod
+    def _tokenize(text: str) -> list[tuple[str, int, int]]:
+        tokens = []
+        line, col, i = 1, 1, 0
+        while i < len(text):
+            ch = text[i]
+            if ch == "\n":
+                line, col = line + 1, 1
+                i += 1
+                continue
+            if ch in " \t\r":
+                i += 1
+                col += 1
+                continue
+            if text.startswith("->", i):
+                tokens.append(("->", line, col))
+                i += 2
+                col += 2
+                continue
+            if ch in "()!&|":
+                tokens.append((ch, line, col))
+                i += 1
+                col += 1
+                continue
+            if ch.isalnum() or ch == "_":
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                tokens.append((text[i:j], line, col))
+                col += j - i
+                i = j
+                continue
+            raise LtlSyntaxError(f"unexpected character {ch!r}", line, col)
+        tokens.append(("", line, col))
+        return tokens
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def take(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok[0]:
+            self.pos += 1
+        return tok[0]
+
+    def error(self, message: str):
+        _, line, col = self.tokens[self.pos]
+        raise LtlSyntaxError(message, line, col)
+
+    def parse(self):
+        f = self.parse_implies()
+        if self.peek():
+            self.error(f"unexpected token {self.peek()!r}")
+        return f
+
+    def parse_implies(self):
+        left = self.parse_xor()
+        if self.peek() == "->":
+            self.take()
+            return Implies(left, self.parse_implies())
+        return left
+
+    def parse_xor(self):
+        out = self.parse_or()
+        while self.peek() == "xor":
+            self.take()
+            out = Xor(out, self.parse_or())
+        return out
+
+    def parse_or(self):
+        out = self.parse_and()
+        while self.peek() == "|":
+            self.take()
+            out = Or(out, self.parse_and())
+        return out
+
+    def parse_and(self):
+        out = self.parse_unary()
+        while self.peek() == "&":
+            self.take()
+            out = And(out, self.parse_unary())
+        return out
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok == "!":
+            self.take()
+            return Not(self.parse_unary())
+        if tok in ("G", "F", "X"):
+            self.take()
+            cls = {"G": Always, "F": Eventually, "X": Next}[tok]
+            return cls(self.parse_unary())
+        return self.parse_primary()
+
+    def parse_primary(self):
+        tok = self.peek()
+        if tok == "(":
+            self.take()
+            f = self.parse_implies()
+            if self.peek() != ")":
+                self.error("expected ')'")
+            self.take()
+            return f
+        if tok == "TRUE":
+            self.take()
+            return TrueConst()
+        if tok == "FALSE":
+            self.take()
+            return FalseConst()
+        if tok and (tok[0].isalpha() or tok[0] == "_") and tok not in RESERVED_ATOMS:
+            self.take()
+            return Atom(tok)
+        self.error(f"expected a formula, got {tok or 'end of input'!r}")
+
+
+def parse_outcome(parse, text: str) -> tuple:
+    """The rendered formula, or the error's text and location."""
+    try:
+        return ("formula", render_formula(parse(text)))
+    except LtlSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+#: Pieces of random parser input: every token of the formula language,
+#: reserved words that are not operators, and characters on the edges of
+#: the lexer's classes.
+PARSER_PIECES = [
+    "a", "b", "c_1", "_x", "7", "G", "F", "X", "U", "R", "xor", "TRUE", "FALSE",
+    "!", "&", "|", "->", "-", ">", "(", ")", "(", ")", "//", "[", "]", " ", " ",
+    "\t", "\n", "\r", "\f", "\v", "\xa0", "\u00e9", "\u00df", "\u00b2", "\u0663",
+]
+
+
+def random_parser_input(rng: random.Random) -> str:
+    """Half the time a random run of pieces, half the time a rendered
+    random formula with one piece inserted, deleted or replaced."""
+    if rng.random() < 0.5:
+        count = rng.randint(0, 16)
+        return "".join(rng.choice(PARSER_PIECES) + rng.choice(["", " "]) for _ in range(count))
+    text = render_formula(random_formula(rng, ["a", "b", "c"], rng.randint(0, 5)))
+    at = rng.randint(0, len(text))
+    edit = rng.randrange(3)
+    if edit == 0:
+        return text[:at] + rng.choice(PARSER_PIECES) + text[at:]
+    if edit == 1:
+        return text[:at] + text[at + 1 :]
+    return text[:at] + rng.choice(PARSER_PIECES) + text[at + 1 :]
+
+
+class TestParserAgainstReference:
+    def test_random_inputs(self):
+        parsed = 0
+        for seed in range(20_000):
+            text = random_parser_input(random.Random(seed))
+            outcome = parse_outcome(parse_ltl, text)
+            assert outcome == parse_outcome(lambda t: ReferenceParser(t).parse(), text), repr(text)
+            parsed += outcome[0] == "formula"
+        # Both outcomes are well represented.
+        assert 4_000 < parsed < 16_000
+
+
+class TestDeepParse:
+    """Inputs ten times deeper than the default recursion limit parse and
+    render back. Compared as text: record equality recurses."""
+
+    DEPTH = 10_000
+    NAMES = [f"a{i}" for i in range(DEPTH + 1)]
+
+    @pytest.mark.parametrize("op", ["!", "G ", "F ", "X "])
+    def test_unary_chain(self, op):
+        assert sys.getrecursionlimit() < self.DEPTH
+        text = op * self.DEPTH + "a"
+        assert render_formula(parse_ltl(text)) == text
+
+    def test_nested_parentheses(self):
+        text = " & (".join(self.NAMES[:-1]) + f" & {self.NAMES[-1]}" + ")" * (self.DEPTH - 1)
+        assert render_formula(parse_ltl(text)) == text
+        assert render_formula(parse_ltl("(" * self.DEPTH + "a" + ")" * self.DEPTH)) == "a"
+
+    def test_implication_chain(self):
+        text = " -> ".join(self.NAMES)
+        formula = parse_ltl(text)
+        assert render_formula(formula) == f"({text})"
+        # Right-associative: the chain nests to the right.
+        assert formula.left == Atom("a0") and formula.right.left == Atom("a1")

@@ -190,6 +190,16 @@ class TestParseOutput:
             "'-- specification G a is false'"
         )
 
+    def test_unparsable_formula(self):
+        bad = "-- specification G a is true\n-- specification G (a U b) is true\n"
+        with pytest.raises(OutputParseError) as info:
+            parse_output(bad)
+        assert info.value.line_number == 2
+        assert str(info.value) == (
+            "formula does not parse (1:6: expected ')') at line 2: "
+            "'-- specification G (a U b) is true'"
+        )
+
     def test_round_trip_of_internal_report(
         self, low_unsat_system, low_sat_system, high_model
     ):
