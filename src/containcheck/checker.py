@@ -12,6 +12,19 @@ comes first, ending at that member; the loop starts there and visits the
 acceptance sets in order, each by a shortest path inside the SCC, before
 a shortest path back closes it.
 
+check_all() builds a product only where one can change the answer. A
+system whose walk from the initial state meets only states with exactly
+one successor, and closes within the cap, has one run, a lasso; every
+low-level model without a decision node is such a system. A property then
+holds exactly when it holds on that lasso (Markey and Schnoebelen, "Model
+checking a path", CONCUR 2003), which evaluate_on_lasso decides in time
+linear in the formula times the run. Such a property is reported holding
+with no product when check's product provably fits the cap: the run's
+length times the automaton's states is at most the cap. The automaton is
+built once per formula shape (see `_shape`) to size it. Every other
+property, each violated one and each property of a branching system, goes
+to check(), so lassos, errors and their order are check's own.
+
 oracle_check() never builds an automaton: it enumerates lassos of the
 system directly and evaluates the property on each word by unrolling. On a
 system whose paths all settle into a sink within the depth bound (every
@@ -288,15 +301,80 @@ def _fair_cycle(adjacency, scc: set, entry: int, qs, auto: BuchiAutomaton) -> li
 
 
 def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -> list[Verdict]:
-    """One verdict per property, input order preserved; checks are
-    independent of each other."""
+    """One verdict per property, input order preserved; each verdict,
+    lasso and exception is the one check() gives for that property alone,
+    and the first exception in input order propagates."""
+    run = _single_run(sys, cap)
+    if run is not None:
+        loop_start, states = run
+        columns: dict[str, list[bool]] = {}  # atom -> its truth along the run
+
+        def column(atom: str) -> list[bool]:
+            if atom not in columns:
+                # _check_atoms has vetted the atom.
+                columns[atom] = [sys.value_of(s, atom) for s in states]
+            return columns[atom]
+
+    sizes: dict[tuple, int] = {}  # shape -> automaton states
     out = []
     for prop in properties:
         if isinstance(prop, ltl.GeneratedProperty):
-            out.append(check(sys, prop.formula, cap, prop.primitive, prop.origin))
+            formula, primitive, origin = prop.formula, prop.primitive, prop.origin
         else:
-            out.append(check(sys, prop, cap))
+            formula, primitive, origin = prop, None, None
+        if run is not None:
+            _check_atoms(sys, formula)
+            if _holds_on_lasso(formula, loop_start, len(states), column):
+                shape = _shape(formula)
+                if shape not in sizes:
+                    sizes[shape] = len(automaton_for_negation(formula).states)
+                # The product pairs a run state with an automaton state.
+                if len(states) * sizes[shape] <= cap:
+                    out.append(Verdict(formula, True, None, primitive, origin))
+                    continue
+        out.append(check(sys, formula, cap, primitive, origin))
     return out
+
+
+def _single_run(sys: TransitionSystem, cap: int) -> tuple[int, list] | None:
+    """The system's one run as (loop start, states) when the walk from
+    the initial state meets only states with exactly one successor and
+    repeats a state within `cap` states; otherwise None."""
+    position: dict[int, int] = {}
+    states: list[int] = []
+    state = sys.initial
+    while state not in position:
+        if len(states) == cap:
+            return None
+        position[state] = len(states)
+        states.append(state)
+        succs = sys.successors(state)
+        if len(succs) != 1:
+            return None
+        state = succs[0]
+    return position[state], states
+
+
+def _shape(formula: ltl.Formula) -> tuple:
+    """The formula in prefix order, each operator as its class and each
+    atom as its rank among the formula's atoms in repr order. The tableau
+    orders literals by repr(atom) and its structure by the formula's, so
+    formulas of one shape have automata equal up to renaming atoms."""
+    items: list = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, ltl.Atom):
+            items.append(f.name)
+            continue
+        items.append(f.__class__)
+        if isinstance(f, (ltl.Not, ltl.Next, ltl.Eventually, ltl.Always)):
+            stack.append(f.operand)
+        elif isinstance(f, (ltl.And, ltl.Or, ltl.Xor, ltl.Implies)):
+            stack += (f.right, f.left)
+    names = sorted({item for item in items if isinstance(item, str)}, key=repr)
+    rank = {name: i for i, name in enumerate(names)}
+    return tuple(rank[item] if isinstance(item, str) else item for item in items)
 
 
 def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
@@ -311,10 +389,20 @@ def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
     atom_value(state, name) supplies atom truth per state.
     """
     states = list(prefix) + list(loop)
-    n = len(states)
-    loop_start = len(prefix)
-    if loop_start == n:
+    if len(prefix) == len(states):
         raise ValueError("lasso loop must contain at least one state")
+    return _holds_on_lasso(
+        formula,
+        len(prefix),
+        len(states),
+        lambda name: [bool(atom_value(s, name)) for s in states],
+    )
+
+
+def _holds_on_lasso(formula: ltl.Formula, loop_start: int, n: int, atom_label) -> bool:
+    """evaluate_on_lasso on a lasso of n positions whose loop starts at
+    loop_start; atom_label(name) gives the atom's truth at every position
+    as a list, which is only read."""
     labels: dict[int, list[bool]] = {}  # id(subformula) -> truth per position
     stack = [formula]
     while stack:
@@ -335,7 +423,7 @@ def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
         stack.pop()
         args = [labels[id(o)] for o in operands]
         if isinstance(f, ltl.Atom):
-            label = [bool(atom_value(s, f.name)) for s in states]
+            label = atom_label(f.name)
         elif isinstance(f, ltl.TrueConst):
             label = [True] * n
         elif isinstance(f, ltl.FalseConst):

@@ -13,11 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checker, ingest, ltl, semantics, smv
+from . import ingest, ltl, smv
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
+
+#: `--cap`'s default, semantics.DEFAULT_STATE_CAP written out so that
+#: parsing the arguments loads no engine module (a test pins the two equal).
+DEFAULT_STATE_CAP = 1_000_000
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,14 +35,20 @@ def main(argv: list[str] | None = None) -> int:
         ltl.GenerationError,
         smv.SmvGenerationError,
         smv.AtomMismatchError,
-        semantics.StateCapExceeded,
-        checker.UnknownAtomError,
-        checker.OracleError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # Only `check` loads the engine, so its errors are matched here,
+        # once something has gone wrong.
+        from . import checker, semantics
+
+        if isinstance(
+            exc, (semantics.StateCapExceeded, checker.UnknownAtomError, checker.OracleError)
+        ):
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 
@@ -94,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--cap",
         type=int,
-        default=semantics.DEFAULT_STATE_CAP,
+        default=DEFAULT_STATE_CAP,
         help="state-space exploration cap (default: %(default)s)",
     )
     p_check.add_argument(
@@ -167,6 +177,8 @@ def cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
+    from . import checker, semantics
+
     high = ingest.load_model(args.high)
     low = ingest.load_model(args.low)
     properties = ltl.generate_properties(high, join_mode=args.join_mode)
@@ -227,7 +239,9 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(v.holds for v in verdicts) else EXIT_VIOLATION
 
 
-def _dump_states(system: semantics.TransitionSystem, cap: int) -> None:
+def _dump_states(system, cap: int) -> None:
+    from . import semantics
+
     reach = semantics.reachable_states(system, cap=cap)
     for state in reach.order:
         pairs = ", ".join(f"{n} = {v}" for n, v in system.state_items(state))

@@ -25,9 +25,69 @@ from .record import Record, setfield
 
 
 class Formula(Record):
-    """Base class for formula nodes; all subclasses are frozen and hashable."""
+    """Base class for formula nodes; all subclasses are frozen and hashable.
 
-    __slots__ = ()
+    Equality, hashing and repr behave as for every record but walk
+    explicit stacks instead of recursing into operands, so formulas of any
+    depth compare, hash and print. A formula's hash is computed once,
+    operands first, and kept in `_hash`; it is still the hash of the
+    field tuple.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for x, y in zip(a._key(a), b._key(b)):
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            f = stack[-1]
+            fields = f._key(f)
+            pending = [x for x in fields if isinstance(x, Formula) and not hasattr(x, "_hash")]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            # Every operand's hash is kept, so this hashes one level deep.
+            setfield(f, "_hash", hash(fields))
+        return self._hash
+
+    def __repr__(self) -> str:
+        pieces: list[str] = []
+        # Pending work, last first: literal text, or a formula to print.
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Formula):
+                pieces.append(item)
+                continue
+            pieces.append(f"{item.__class__.__qualname__}(")
+            stack.append(")")
+            fields = item._fields
+            for i in range(len(fields) - 1, -1, -1):
+                value = getattr(item, fields[i])
+                stack.append(value if isinstance(value, Formula) else repr(value))
+                stack.append(f"{', ' if i else ''}{fields[i]}=")
+        return "".join(pieces)
 
 
 class Atom(Formula):

@@ -29,6 +29,9 @@ HIGH = FIXTURES / "order_processing_high.behavior"
 LOW_UNSAT = FIXTURES / "order_processing_low_unsat.behavior"
 LOW_UNSAT_JSON = FIXTURES / "order_processing_low_unsat.json"
 LOW_SAT = FIXTURES / "order_processing_low_sat.behavior"
+# A decision-free pair: the low model has one run and violates one property.
+FULFILMENT_HIGH = GOLDEN / "fulfilment_high.behavior"
+FULFILMENT_LOW = GOLDEN / "fulfilment_low_swapped.behavior"
 
 
 @pytest.fixture(scope="session")

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import (
+    FULFILMENT_HIGH,
+    FULFILMENT_LOW,
     HIGH,
     LOW_SAT,
     LOW_UNSAT,
+    chain_model,
+    decision_model,
+    fork_model,
     fork_of_decisions_model,
     lasso_violates,
     number_backwards,
+    random_digraph,
     random_formula,
     random_valid_model,
 )
@@ -29,8 +36,10 @@ from containcheck.checker import (
     oracle_check,
     render_report,
 )
+from containcheck.automaton import automaton_for_negation
 from containcheck.ingest import load_model, parse_dsl
 from containcheck.ltl import generate_properties, parse_ltl, render_formula
+from containcheck.model import ActivityModel, Edge, Node, NodeKind, validate
 from containcheck.semantics import StateCapExceeded, build_system, reachable_states
 from containcheck.smv import generate_smv
 
@@ -447,6 +456,247 @@ class TestSoundness:
             for verdict in check_all(sys, generate_properties(model)):
                 if not verdict.holds:
                     assert lasso_violates(verdict.formula, verdict.counterexample)
+
+
+# --- one run, decided on its lasso ----------------------------------------
+# check_all decides a holding property of a single-run system without a
+# product. Whatever path it takes, its result must be check's, property by
+# property in input order: the same verdicts and lassos, or the same first
+# exception.
+
+def outcome(run):
+    try:
+        return run()
+    except (StateCapExceeded, UnknownAtomError) as exc:
+        return type(exc), str(exc)
+
+
+def per_property(sys, properties, cap):
+    """What check_all must return: check on each property in turn."""
+
+    def run():
+        out = []
+        for prop in properties:
+            if isinstance(prop, ltl.GeneratedProperty):
+                out.append(check(sys, prop.formula, cap, prop.primitive, prop.origin))
+            else:
+                out.append(check(sys, prop, cap))
+        return out
+
+    return outcome(run)
+
+
+def functional_low(seed: int) -> ActivityModel:
+    """A decision-free low model, cyclic as a rule: a fork starts a final
+    node and G0, whose run follows the first out-edge of each node of
+    random_digraph(seed); a node without one leads to a second final node,
+    and a node entered twice is a merge, so a loop keeps running."""
+    first: dict[str, str] = {}
+    for e in random_digraph(seed).edges:
+        first.setdefault(e.source, e.target)
+    edges = [("I", "K"), ("K", "Stop"), ("K", "G0")]
+    order: list[str] = []
+    node = "G0"
+    while node not in order and node != "F_end":
+        order.append(node)
+        edges.append((node, first.get(node, "F_end")))
+        node = edges[-1][1]
+    incoming = Counter(target for _, target in edges)
+    nodes = [Node("I", NodeKind.INITIAL), Node("K", NodeKind.FORK), Node("Stop", NodeKind.FINAL)]
+    nodes += [Node(n, NodeKind.MERGE if incoming[n] > 1 else NodeKind.ACTION) for n in order]
+    if incoming["F_end"]:
+        nodes.append(Node("F_end", NodeKind.FINAL))
+    model = ActivityModel(f"Functional{seed}", nodes, [Edge(a, b) for a, b in edges])
+    assert not validate(model)
+    return model
+
+
+def single_run_length(sys):
+    """The number of states on the system's run if it never branches."""
+    seen, state = set(), sys.initial
+    while state not in seen:
+        seen.add(state)
+        succs = sys.successors(state)
+        if len(succs) != 1:
+            return None
+        state = succs[0]
+    return len(seen)
+
+
+def agreement_cases():
+    """(name, low model, properties): single-run lows from the chain and
+    fork families, decision-free random models and deterministic cyclic
+    digraphs, under generated and random properties; and branching lows,
+    whose properties must all go to check."""
+    rng = random.Random(1814)
+
+    def mixed(model, high=None):
+        # Decision nodes are scalars, not atoms.
+        atoms = [n.id for n in model.nodes if n.kind is not NodeKind.DECISION]
+        props = list(generate_properties(high)) if high is not None else []
+        props += [random_formula(rng, atoms, 3) for _ in range(3)]
+        a, b = rng.sample(atoms, 2) if len(atoms) > 1 else (atoms[0], atoms[0])
+        props.append(parse_ltl(f"G ({a} -> F {b})"))
+        # Persistence is where a loop read as a finite word goes wrong.
+        props += [parse_ltl(f"F G {c}") for c in rng.sample(atoms, min(3, len(atoms)))]
+        return props
+
+    cases = []
+    for n in range(1, 13):
+        low = chain_model(n)
+        cases.append((f"chain{n}", low, mixed(low, chain_model(rng.randint(1, n)))))
+    for w in range(2, 9):
+        low = fork_model(w)
+        cases.append((f"fork{w}", low, mixed(low, fork_model(rng.randint(2, w)))))
+    decision_free, branching = [], []
+    for seed in range(600):
+        model = random_valid_model(seed)
+        kinds = {n.kind for n in model.nodes}
+        (branching if NodeKind.DECISION in kinds else decision_free).append(model)
+    for i, low in enumerate(decision_free[:200]):
+        highs = [m for m in decision_free if len(m.nodes) <= len(low.nodes)]
+        cases.append((f"valid{i}", low, mixed(low, rng.choice(highs))))
+    for seed in range(200):
+        low = functional_low(seed)
+        cases.append((f"functional{seed}", low, mixed(low)))
+    for i, low in enumerate(branching[:80]):
+        cases.append((f"branching{i}", low, mixed(low, low)))
+    for k in (2, 3):
+        low = decision_model(k)
+        cases.append((f"decision{k}", low, mixed(low, low)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def agreement():
+    return agreement_cases()
+
+
+class TestSingleRun:
+    def test_cases_cover_single_runs_and_branching(self, agreement):
+        lengths = [single_run_length(build_system(generate_smv(low))) for _, low, _ in agreement]
+        single = [n for n in lengths if n is not None]
+        assert len(agreement) >= 500
+        assert len(single) >= 400 and len(agreement) - len(single) >= 80
+        # Deterministic digraphs with a loop, not only runs into the sink.
+        assert sum(1 for name, low, _ in agreement if name.startswith("functional")
+                   and NodeKind.MERGE in {n.kind for n in low.nodes}) >= 50
+
+    def test_verdicts_equal_check_at_the_default_cap(self, agreement):
+        violated = held = 0
+        for name, low, props in agreement:
+            sys = build_system(generate_smv(low))
+            expected = per_property(sys, props, 10**6)
+            assert outcome(lambda: check_all(sys, props)) == expected, name
+            if isinstance(expected, list):
+                violated += sum(not v.holds for v in expected)
+                held += sum(v.holds for v in expected)
+        assert violated >= 300 and held >= 1000
+
+    def test_cap_errors_equal_check(self, agreement):
+        # Caps around each product bound (run length times automaton
+        # states) and below the run length. Properties of several shapes
+        # share one call, so a size taken from the wrong shape shows.
+        raised = 0
+        for name, low, props in agreement[:19] + agreement[19::25]:
+            sys = build_system(generate_smv(low))
+            n = single_run_length(sys)
+            if n is None:
+                continue
+            formulas = [p.formula if isinstance(p, ltl.GeneratedProperty) else p for p in props]
+            sizes = {len(automaton_for_negation(f).states) for f in formulas}
+            caps = set(range(1, 2 * n + 2)) | {n * q + d for q in sizes for d in (-1, 0, 1)}
+            for cap in sorted(c for c in caps if c > 0):
+                expected = per_property(sys, props, cap)
+                assert outcome(lambda: check_all(sys, props, cap)) == expected, (name, cap)
+                raised += isinstance(expected, tuple)
+        assert raised >= 300
+
+    def test_each_shape_is_sized_by_its_own_automaton(self):
+        # Every property below holds on chain(3)'s run of 6 states, and
+        # check's product fits a cap of 6 only for the one-state automata.
+        # A one-state automaton must not size a later property of another
+        # shape, however alike the two look.
+        sys = build_system(generate_smv(chain_model(3)))
+        n = single_run_length(sys)
+        one_state = [parse_ltl("G TRUE"), parse_ltl("G (A0 -> F A0)")]
+        larger = [parse_ltl(t) for t in ("G (A0 -> F A1)", "G (I -> F A0 & F A1 & F A2)", "G (A1 -> F A2)")]
+        sizes = {f: len(automaton_for_negation(f).states) for f in one_state + larger}
+        assert {sizes[f] for f in one_state} == {1} and min(sizes[f] for f in larger) > 1
+        raised = 0
+        for first in one_state:
+            for then in larger:
+                for props in ([first, then], [then, first], [first, then, larger[-1]]):
+                    for cap in range(n, n * max(sizes.values()) + 2):
+                        expected = per_property(sys, props, cap)
+                        assert outcome(lambda: check_all(sys, props, cap)) == expected, (props, cap)
+                        raised += isinstance(expected, tuple)
+        assert raised >= 12
+
+    def test_atoms_rank_in_repr_order(self):
+        # The tableau sorts literals by repr(atom), so a shape ranks atoms
+        # in that order: `G (b -> F a)` is not `G (a -> F b)`.
+        from containcheck.checker import _shape
+
+        assert _shape(parse_ltl("G (a -> F b)")) == _shape(parse_ltl("G (A0 -> F A1)"))
+        assert _shape(parse_ltl("G (b -> F a)")) != _shape(parse_ltl("G (a -> F b)"))
+        assert _shape(parse_ltl("G (a -> F a)")) != _shape(parse_ltl("G (a -> F b)"))
+        # repr order, not first occurrence: "Z" sorts before "a".
+        assert _shape(parse_ltl("G (a -> F Z)")) == _shape(parse_ltl("G (b -> F a)"))
+
+    @pytest.fixture()
+    def fulfilment(self):
+        sys = build_system(generate_smv(load_model(str(FULFILMENT_LOW))))
+        return sys, generate_properties(load_model(str(FULFILMENT_HIGH)))
+
+    def test_unknown_atom_before_and_after_a_capped_property(self, fulfilment):
+        # G (Start -> F ReceiveOrder) holds, but check's product for it
+        # needs 12 states: at cap 11 it raises.
+        sys, props = fulfilment
+        holding, bad = props[0], parse_ltl("G Nowhere")
+        assert check(sys, holding.formula, 12).holds
+        with pytest.raises(UnknownAtomError):
+            check_all(sys, [bad, holding], cap=11)
+        with pytest.raises(StateCapExceeded, match=r"cap of 11 states exceeded \(frontier size 1\)"):
+            check_all(sys, [holding, bad], cap=11)
+        with pytest.raises(UnknownAtomError):
+            check_all(sys, [holding, bad], cap=12)
+
+    def test_the_walk_stops_at_the_cap(self):
+        # A run longer than the cap is left to check, which stops at the
+        # cap too; neither computes the successors of the whole run.
+        sys = build_system(generate_smv(chain_model(200)))
+        with pytest.raises(StateCapExceeded):
+            check_all(sys, [parse_ltl("G (I -> F A0)")], cap=20)
+        assert len(sys._successor_cache) <= 20
+
+    def test_an_unknown_atom_is_refused_on_a_single_run(self):
+        sys = build_system(generate_smv(chain_model(2)))
+        with pytest.raises(UnknownAtomError, match="Nope"):
+            check_all(sys, [parse_ltl("G (I -> F A0)"), parse_ltl("F Nope")])
+
+    def test_holding_properties_build_no_product(self, fulfilment, monkeypatch):
+        # Only the violated property reaches the fair-SCC search, and the
+        # four holding ones of three shapes build three automata.
+        from containcheck import checker
+
+        sys, props = fulfilment
+        calls = Counter()
+        search, build = checker._find_fair_scc, checker.automaton_for_negation
+
+        def counted_search(*args):
+            calls["search"] += 1
+            return search(*args)
+
+        def counted_build(formula):
+            calls["build"] += 1
+            return build(formula)
+
+        monkeypatch.setattr(checker, "_find_fair_scc", counted_search)
+        monkeypatch.setattr(checker, "automaton_for_negation", counted_build)
+        verdicts = check_all(sys, props)
+        assert [v.holds for v in verdicts] == [True, False, True, True, True]
+        assert calls == {"search": 1, "build": 1 + 3}
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, HIGH, LOW_SAT, LOW_UNSAT, LOW_UNSAT_JSON, chain_model, fork_model
-from containcheck import cli
+from conftest import (
+    FULFILMENT_HIGH,
+    FULFILMENT_LOW,
+    GOLDEN,
+    HIGH,
+    LOW_SAT,
+    LOW_UNSAT,
+    LOW_UNSAT_JSON,
+    chain_model,
+    fork_model,
+)
+from containcheck import cli, semantics
 from containcheck.cli import main
 from containcheck.ingest import print_dsl
 
@@ -210,7 +220,7 @@ class TestCheck:
         def no_check(*args, **kwargs):
             raise AssertionError("no property may be checked")
 
-        monkeypatch.setattr(cli.checker, "check_all", no_check)
+        monkeypatch.setattr("containcheck.checker.check_all", no_check)
         for depth in ("0", "-1"):
             assert run("check", HIGH, LOW_SAT, "--depth", depth) == 2
             captured = capsys.readouterr()
@@ -244,6 +254,34 @@ class TestCheck:
         for extra in ((), ("--depth", "30")):
             assert run("check", HIGH, low, "--format", fmt, *extra) == code
             assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+    def test_single_run_report_matches_golden(self, capsys, fmt, suffix):
+        # The low model has one run: its holding properties are decided on
+        # that run, and the violated one still gets check's lasso.
+        golden = GOLDEN / f"fulfilment_low_swapped.check.{suffix}"
+        for extra in ((), ("--depth", "30")):
+            assert run("check", FULFILMENT_HIGH, FULFILMENT_LOW, "--format", fmt, *extra) == 1
+            assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+    def test_smallest_passing_cap_on_a_single_run(self, capsys):
+        # The violated property's product needs 18 states; with one fewer,
+        # check's message reports the cap.
+        assert run("check", FULFILMENT_HIGH, FULFILMENT_LOW, "--cap", 18) == 1
+        captured = capsys.readouterr()
+        golden = (GOLDEN / "fulfilment_low_swapped.check.txt").read_text()
+        assert (captured.out, captured.err) == (golden, "")
+        assert run("check", FULFILMENT_HIGH, FULFILMENT_LOW, "--cap", 17) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: state-space cap of 17 states exceeded (frontier size 2)\n",
+        )
+
+    def test_default_cap_is_the_engine_default(self):
+        # The parser keeps its own copy so that parsing loads no engine.
+        args = cli.build_parser().parse_args(["check", "high.behavior", "low.behavior"])
+        assert args.cap == semantics.DEFAULT_STATE_CAP
 
     @pytest.mark.parametrize("low, code", [(LOW_UNSAT, 1), (LOW_SAT, 0)])
     def test_dump_states_matches_golden(self, capsys, low, code):
@@ -293,27 +331,75 @@ class TestStartup:
     # What a default run must not load: dataclasses brings in inspect (and
     # with it ast and dis), and the NuSMV bridge brings in subprocess.
     UNNEEDED = ("dataclasses", "inspect", "subprocess", "containcheck.nusmv")
+    # The checking engine, which only `check` needs.
+    ENGINE = ("containcheck.checker", "containcheck.automaton", "containcheck.semantics")
 
-    def test_default_run_loads_no_unneeded_module(self):
+    def run_child(self, body: str, unneeded) -> subprocess.CompletedProcess:
         child = (
             "import sys\n"
-            f"unneeded = {self.UNNEEDED!r}\n"
+            f"unneeded = {tuple(unneeded)!r}\n"
             "def loaded(): return [m for m in unneeded if m in sys.modules]\n"
-            "import containcheck.cli\n"
-            "after_import = loaded()\n"
-            f"code = containcheck.cli.main(['check', {str(HIGH)!r}, {str(LOW_SAT)!r}, '--format', 'json'])\n"
-            "print(repr((code, after_import, loaded())), file=sys.stderr)\n"
+            + body
         )
         src = Path(cli.__file__).resolve().parents[1]
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-S", "-c", child],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
             timeout=60,
         )
+
+    def test_default_run_loads_no_unneeded_module(self):
+        result = self.run_child(
+            "import containcheck.cli\n"
+            "after_import = loaded()\n"
+            f"code = containcheck.cli.main(['check', {str(HIGH)!r}, {str(LOW_SAT)!r}, '--format', 'json'])\n"
+            "print(repr((code, after_import, loaded())), file=sys.stderr)\n",
+            self.UNNEEDED,
+        )
         assert result.stdout == (GOLDEN / "order_processing_low_sat.check.json").read_text()
         assert result.stderr.splitlines()[-1] == repr((0, [], []))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", str(HIGH)],
+            ["gen-ltl", str(HIGH)],
+            ["gen-smv", str(LOW_UNSAT), "--embed-ltl", str(HIGH)],
+        ],
+        ids=["validate", "gen-ltl", "gen-smv"],
+    )
+    def test_commands_that_check_nothing_load_no_engine(self, argv):
+        result = self.run_child(
+            "import containcheck\n"
+            "after_package = loaded()\n"
+            "import containcheck.cli\n"
+            "after_cli = loaded()\n"
+            f"code = containcheck.cli.main({argv!r})\n"
+            "print(repr((code, after_package, after_cli, loaded())), file=sys.stderr)\n",
+            self.ENGINE + self.UNNEEDED,
+        )
+        assert result.stderr.splitlines()[-1] == repr((0, [], [], []))
+
+    def test_package_exports_load_the_engine_on_use(self):
+        result = self.run_child(
+            "import containcheck\n"
+            "before = loaded()\n"
+            "from containcheck import check_all, StateCapExceeded\n"
+            "from containcheck import checker, semantics\n"
+            "assert check_all is checker.check_all and StateCapExceeded is semantics.StateCapExceeded\n"
+            "assert all(getattr(containcheck, name) is not None for name in containcheck.__all__)\n"
+            "try:\n"
+            "    containcheck.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    missing = str(exc)\n"
+            "print(repr((before, loaded(), missing)), file=sys.stderr)\n",
+            self.ENGINE,
+        )
+        assert result.stderr.splitlines()[-1] == repr(
+            ([], list(self.ENGINE), "module 'containcheck' has no attribute 'no_such_name'")
+        )
 
 
 class TestInternalError:

@@ -582,7 +582,7 @@ class TestParserAgainstReference:
 
 class TestDeepParse:
     """Inputs ten times deeper than the default recursion limit parse and
-    render back. Compared as text: record equality recurses."""
+    render back."""
 
     DEPTH = 10_000
     NAMES = [f"a{i}" for i in range(DEPTH + 1)]
@@ -604,3 +604,50 @@ class TestDeepParse:
         assert render_formula(formula) == f"({text})"
         # Right-associative: the chain nests to the right.
         assert formula.left == Atom("a0") and formula.right.left == Atom("a1")
+
+
+class TestDeepRecords:
+    """Formulas ten times deeper than the default recursion limit compare,
+    hash and print, with the results shallow formulas give."""
+
+    DEPTH = 10_000
+
+    @pytest.mark.parametrize(
+        "op, cls", [("!", Not), ("G ", Always), ("X ", Next)], ids=["not", "always", "next"]
+    )
+    def test_unary_chain(self, op, cls):
+        assert sys.getrecursionlimit() < self.DEPTH
+        text = op * self.DEPTH + "a"
+        one, two = parse_ltl(text), parse_ltl(text)
+        assert one == two and not one != two
+        assert one != parse_ltl(op * self.DEPTH + "b")
+        assert one != parse_ltl(op * (self.DEPTH - 1) + "a")
+        assert hash(one) == hash(two) == hash((one.operand,))
+        name = cls.__name__
+        assert repr(one) == f"{name}(operand=" * self.DEPTH + "Atom(name='a')" + ")" * self.DEPTH
+
+    def test_implication_chain(self):
+        names = [f"a{i}" for i in range(self.DEPTH + 1)]
+        one, two = (parse_ltl(" -> ".join(names)) for _ in range(2))
+        assert one == two
+        assert one != parse_ltl(" -> ".join(names[:-1] + ["b"]))
+        assert hash(one) == hash(two) == hash((one.left, one.right))
+        expected = "".join(f"Implies(left=Atom(name={n!r}), right=" for n in names[:-1])
+        assert repr(one) == expected + f"Atom(name={names[-1]!r})" + ")" * self.DEPTH
+
+    def test_wide_fork_properties_compare(self):
+        # The fork property nests 1,500 conjuncts, and the join property's
+        # antecedent as many.
+        model = fork_model(1500)
+        assert generate_properties(model) == generate_properties(model)
+        assert hash(tuple(generate_properties(model))) == hash(tuple(generate_properties(model)))
+
+    def test_shallow_formulas_keep_the_record_contract(self):
+        rng = random.Random(77)
+        atoms_ = ["a", "b", "c"]
+        for _ in range(300):
+            f = random_formula(rng, atoms_, 4)
+            g = parse_ltl(render_formula(f))
+            assert (f == g) and hash(f) == hash(g) == hash(tuple(getattr(f, n) for n in f._fields))
+            fields = ", ".join(f"{n}={getattr(f, n)!r}" for n in f._fields)
+            assert repr(f) == f"{type(f).__name__}({fields})"

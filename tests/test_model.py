@@ -353,7 +353,8 @@ class TestRecords:
 
     def test_every_record_takes_its_fields_in_order(self):
         # Copying and pickling call the class on the fields in order. The
-        # package's __init__ has imported every module defining records.
+        # imports above load every module defining records (checker loads
+        # automaton and semantics).
         checked, stack = 0, [Record]
         while stack:
             cls = stack.pop()
