@@ -31,7 +31,7 @@ from .model import (
     successors,
     validate,
 )
-from .smv import AtomMismatchError, SmvModule, bundle_check_file, generate_smv, parse_smv, render_smv
+from .smv import AtomMismatchError, SmvModule, bundle_check_file, generate_smv, render_smv
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "parse_dsl",
     "parse_json",
     "parse_ltl",
-    "parse_smv",
     "predecessors",
     "print_dsl",
     "reachable_states",

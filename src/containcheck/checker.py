@@ -360,18 +360,7 @@ def _shape(formula: ltl.Formula) -> tuple:
     atom as its rank among the formula's atoms in repr order. The tableau
     orders literals by repr(atom) and its structure by the formula's, so
     formulas of one shape have automata equal up to renaming atoms."""
-    items: list = []
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, ltl.Atom):
-            items.append(f.name)
-            continue
-        items.append(f.__class__)
-        if isinstance(f, (ltl.Not, ltl.Next, ltl.Eventually, ltl.Always)):
-            stack.append(f.operand)
-        elif isinstance(f, (ltl.And, ltl.Or, ltl.Xor, ltl.Implies)):
-            stack += (f.right, f.left)
+    items = ltl.preorder(formula)
     names = sorted({item for item in items if isinstance(item, str)}, key=repr)
     rank = {name: i for i, name in enumerate(names)}
     return tuple(rank[item] if isinstance(item, str) else item for item in items)
@@ -410,12 +399,7 @@ def _holds_on_lasso(formula: ltl.Formula, loop_start: int, n: int, atom_label) -
         if id(f) in labels:
             stack.pop()
             continue
-        if isinstance(f, (ltl.Not, ltl.Next, ltl.Eventually, ltl.Always)):
-            operands = (f.operand,)
-        elif isinstance(f, (ltl.And, ltl.Or, ltl.Xor, ltl.Implies)):
-            operands = (f.left, f.right)
-        else:
-            operands = ()
+        operands = ltl.operands(f)
         pending = [o for o in operands if id(o) not in labels]
         if pending:
             stack.extend(pending)

@@ -17,6 +17,7 @@ Five templates drive generation, one per control-flow construct:
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 
@@ -31,10 +32,14 @@ class Formula(Record):
     explicit stacks instead of recursing into operands, so formulas of any
     depth compare, hash and print. A formula's hash is computed once,
     operands first, and kept in `_hash`; it is still the hash of the
-    field tuple.
+    field tuple. Copying and pickling go through the flat preorder()
+    listing, so they work at any depth too.
     """
 
     __slots__ = ("_hash",)
+
+    def __reduce__(self):
+        return _from_preorder, (tuple(preorder(self)),)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -163,40 +168,60 @@ _PRECEDENCE = {Not: 5, Always: 5, Eventually: 5, Next: 5, And: 4, Or: 3, Xor: 2,
 RESERVED_ATOMS = frozenset({"G", "F", "X", "U", "R", "xor", "TRUE", "FALSE"})
 
 
-def atoms(formula: Formula) -> set[str]:
-    """All atom names occurring in the formula."""
-    out: set[str] = set()
+def operands(f: Formula) -> tuple[Formula, ...]:
+    """The formula's direct operands, left to right."""
+    if f.__class__ in _UNARY:
+        return (f.operand,)
+    if f.__class__ in _BINARY:
+        return (f.left, f.right)
+    return ()
+
+
+def preorder(formula: Formula) -> list:
+    """The formula in prefix order: each atom as its name, every other
+    node as its class."""
+    items: list = []
     stack = [formula]
     while stack:
         f = stack.pop()
         if isinstance(f, Atom):
-            out.add(f.name)
-        elif isinstance(f, (Not, Always, Eventually, Next)):
-            stack.append(f.operand)
-        elif isinstance(f, (And, Or, Xor, Implies)):
-            stack += (f.left, f.right)
-    return out
+            items.append(f.name)
+        else:
+            items.append(f.__class__)
+            stack += reversed(operands(f))
+    return items
+
+
+def _from_preorder(items) -> Formula:
+    """The formula that preorder() listed as `items`."""
+    stack: list[Formula] = []
+    for item in reversed(items):
+        if isinstance(item, str):
+            stack.append(Atom(item))
+        elif item in _UNARY:
+            stack.append(item(stack.pop()))
+        elif item in _BINARY:
+            stack.append(item(stack.pop(), stack.pop()))
+        else:
+            stack.append(item())
+    return stack[0]
+
+
+def atoms(formula: Formula) -> set[str]:
+    """All atom names occurring in the formula."""
+    return {item for item in preorder(formula) if isinstance(item, str)}
 
 
 def conjoin(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return functools.reduce(And, parts)
 
 
 def disjoin(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return functools.reduce(Or, parts)
 
 
 def xor_chain(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Xor(out, p)
-    return out
+    return functools.reduce(Xor, parts)
 
 
 def render_formula(formula: Formula) -> str:

@@ -1,6 +1,6 @@
 """SMV description generation: one symbolic variable per node, init/next
-assignment blocks encoding pulse token semantics, canonical text rendering,
-and a minimal reader used to round-trip generated text.
+assignment blocks encoding pulse token semantics, and canonical text
+rendering.
 
 Templates by node kind (i1..in are the incoming triggers):
 
@@ -176,12 +176,6 @@ class SmvModule(Record):
         setfield(self, "assigns", assigns)
         setfield(self, "specs", specs)
 
-    def var_decl(self, name: str) -> SmvVarDecl:
-        for decl in self.vars:
-            if decl.name == name:
-                return decl
-        raise ValueError(f"unknown variable {name!r}")
-
     @property
     def boolean_vars(self) -> set[str]:
         return {d.name for d in self.vars if d.is_boolean}
@@ -224,13 +218,13 @@ def generate_smv(model: ActivityModel) -> SmvModule:
             return GuardEq(edge.source, synthetic_guard(edge.source, edge.target))
         return VarTrue(edge.source)
 
-    var_decls: list[SmvVarDecl] = []
+    decls: list[SmvVarDecl] = []
     assigns: list[SmvAssign] = []
     for node in model.nodes:
         incoming = model.incoming(node.id)
         triggers = [trigger(e) for e in incoming]
         if node.kind is NodeKind.INITIAL:
-            var_decls.append(SmvVarDecl(node.id))
+            decls.append(SmvVarDecl(node.id))
             assigns.append(
                 SmvAssign(
                     node.id,
@@ -243,7 +237,7 @@ def generate_smv(model: ActivityModel) -> SmvModule:
             )
         elif node.kind is NodeKind.DECISION:
             values = ("undetermined",) + guard_values(node.id)
-            var_decls.append(SmvVarDecl(node.id, values))
+            decls.append(SmvVarDecl(node.id, values))
             fire = triggers[0] if len(triggers) == 1 else AndCond(tuple(triggers))
             assigns.append(
                 SmvAssign(
@@ -257,7 +251,7 @@ def generate_smv(model: ActivityModel) -> SmvModule:
                 )
             )
         else:
-            var_decls.append(SmvVarDecl(node.id))
+            decls.append(SmvVarDecl(node.id))
             if node.kind is NodeKind.MERGE:
                 fire = triggers[0] if len(triggers) == 1 else OrCond(tuple(triggers))
             else:
@@ -273,7 +267,7 @@ def generate_smv(model: ActivityModel) -> SmvModule:
                     ),
                 )
             )
-    return SmvModule(tuple(var_decls), tuple(assigns))
+    return SmvModule(tuple(decls), tuple(assigns))
 
 
 def render_smv(module: SmvModule) -> str:
@@ -316,100 +310,3 @@ def bundle_check_file(module: SmvModule, high_properties) -> str:
     )
     return render_smv(SmvModule(module.vars, module.assigns, spec_lines))
 
-
-# --- minimal reader ------------------------------------------------------
-
-class SmvParseError(Exception):
-    pass
-
-
-def parse_smv(text: str) -> SmvModule:
-    """Reader for the generator's own output (tests round-trip through it).
-    Not a general SMV front end."""
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    pos = 0
-
-    def current() -> str:
-        return lines[pos].strip() if pos < len(lines) else ""
-
-    if current() != "MODULE main":
-        raise SmvParseError(f"expected 'MODULE main', got {current()!r}")
-    pos += 1
-    if current() != "VAR":
-        raise SmvParseError(f"expected 'VAR', got {current()!r}")
-    pos += 1
-
-    var_decls: list[SmvVarDecl] = []
-    while pos < len(lines) and current() != "ASSIGN":
-        line = current()
-        pos += 1
-        if not line:
-            continue
-        if not line.endswith(";") or " : " not in line:
-            raise SmvParseError(f"bad variable declaration {line!r}")
-        name, _, sort = line[:-1].partition(" : ")
-        if sort == "boolean":
-            var_decls.append(SmvVarDecl(name.strip()))
-        elif sort.startswith("{") and sort.endswith("}"):
-            values = tuple(v.strip() for v in sort[1:-1].split(","))
-            var_decls.append(SmvVarDecl(name.strip(), values))
-        else:
-            raise SmvParseError(f"bad variable sort {sort!r}")
-    if current() != "ASSIGN":
-        raise SmvParseError("missing ASSIGN section")
-    pos += 1
-
-    assigns: list[SmvAssign] = []
-    specs: list[str] = []
-    while pos < len(lines):
-        line = current()
-        if not line:
-            pos += 1
-            continue
-        if line.startswith("LTLSPEC"):
-            specs.append(line)
-            pos += 1
-            continue
-        if not line.startswith("init("):
-            raise SmvParseError(f"expected init(...), got {line!r}")
-        var, _, init_text = line[len("init(") :].partition(") := ")
-        init_value = _parse_value(init_text.rstrip(";"), var)
-        pos += 1
-        header = current()
-        if header != f"next({var}) := case":
-            raise SmvParseError(f"expected next({var}) case block, got {header!r}")
-        pos += 1
-        cases: list[tuple[CondExpr, ValueExpr]] = []
-        while current() != "esac;":
-            if pos >= len(lines):
-                raise SmvParseError(f"unterminated case block for {var!r}")
-            arm = current().rstrip(";")
-            cond_text, _, value_text = arm.rpartition(" : ")
-            cases.append((_parse_cond(cond_text.strip()), _parse_value(value_text.strip(), var)))
-            pos += 1
-        pos += 1
-        assigns.append(SmvAssign(var, init_value, tuple(cases)))
-    return SmvModule(tuple(var_decls), tuple(assigns), tuple(specs))
-
-
-def _parse_value(text: str, var: str) -> ValueExpr:
-    if text.startswith("{") and text.endswith("}"):
-        return Choice(tuple(v.strip() for v in text[1:-1].split(",")))
-    if text == var:
-        return Keep(var)
-    return Literal(text)
-
-
-def _parse_cond(text: str) -> CondExpr:
-    if " | " in text:
-        return OrCond(tuple(_parse_cond(p) for p in text.split(" | ")))
-    if " & " in text:
-        return AndCond(tuple(_parse_cond(p) for p in text.split(" & ")))
-    if text.startswith("(") and text.endswith(")") and " = " in text:
-        var, _, value = text[1:-1].partition(" = ")
-        return GuardEq(var.strip(), value.strip())
-    if text.endswith(" != undetermined"):
-        return NotUndetermined(text[: -len(" != undetermined")].strip())
-    if text == "TRUE":
-        return ConstTrue()
-    return VarTrue(text)

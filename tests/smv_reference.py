@@ -1,0 +1,147 @@
+"""Test references for the SMV layer: a reader for the generator's own
+output, so tests can pin `render_smv` as lossless, and an evaluator of
+case-arm conditions over a state's printed values, so pulse-invariant
+tests do not check the transition system against itself.
+
+Neither is a general SMV front end; the runtime only generates and
+renders SMV.
+"""
+
+from __future__ import annotations
+
+from containcheck.smv import (
+    AndCond,
+    Choice,
+    CondExpr,
+    ConstTrue,
+    GuardEq,
+    Keep,
+    Literal,
+    NotUndetermined,
+    OrCond,
+    SmvAssign,
+    SmvModule,
+    SmvVarDecl,
+    ValueExpr,
+    VarTrue,
+)
+
+
+class SmvParseError(Exception):
+    pass
+
+
+def var_decl(module: SmvModule, name: str) -> SmvVarDecl:
+    for decl in module.vars:
+        if decl.name == name:
+            return decl
+    raise ValueError(f"unknown variable {name!r}")
+
+
+def eval_cond(cond: CondExpr, items: dict[str, str]) -> bool:
+    """Truth of a case-arm condition in a state, given as the dict of its
+    `state_items` (booleans print as TRUE and FALSE)."""
+    if isinstance(cond, VarTrue):
+        return items[cond.name] == "TRUE"
+    if isinstance(cond, GuardEq):
+        return items[cond.var] == cond.value
+    if isinstance(cond, NotUndetermined):
+        return items[cond.var] != "undetermined"
+    if isinstance(cond, ConstTrue):
+        return True
+    if isinstance(cond, AndCond):
+        return all(eval_cond(p, items) for p in cond.parts)
+    if isinstance(cond, OrCond):
+        return any(eval_cond(p, items) for p in cond.parts)
+    raise TypeError(f"unevaluable condition {cond!r}")
+
+
+def parse_smv(text: str) -> SmvModule:
+    """Read text that `render_smv` produced back into its module."""
+    lines = [ln.rstrip() for ln in text.splitlines()]
+    pos = 0
+
+    def current() -> str:
+        return lines[pos].strip() if pos < len(lines) else ""
+
+    if current() != "MODULE main":
+        raise SmvParseError(f"expected 'MODULE main', got {current()!r}")
+    pos += 1
+    if current() != "VAR":
+        raise SmvParseError(f"expected 'VAR', got {current()!r}")
+    pos += 1
+
+    var_decls: list[SmvVarDecl] = []
+    while pos < len(lines) and current() != "ASSIGN":
+        line = current()
+        pos += 1
+        if not line:
+            continue
+        if not line.endswith(";") or " : " not in line:
+            raise SmvParseError(f"bad variable declaration {line!r}")
+        name, _, sort = line[:-1].partition(" : ")
+        if sort == "boolean":
+            var_decls.append(SmvVarDecl(name.strip()))
+        elif sort.startswith("{") and sort.endswith("}"):
+            values = tuple(v.strip() for v in sort[1:-1].split(","))
+            var_decls.append(SmvVarDecl(name.strip(), values))
+        else:
+            raise SmvParseError(f"bad variable sort {sort!r}")
+    if current() != "ASSIGN":
+        raise SmvParseError("missing ASSIGN section")
+    pos += 1
+
+    assigns: list[SmvAssign] = []
+    specs: list[str] = []
+    while pos < len(lines):
+        line = current()
+        if not line:
+            pos += 1
+            continue
+        if line.startswith("LTLSPEC"):
+            specs.append(line)
+            pos += 1
+            continue
+        if not line.startswith("init("):
+            raise SmvParseError(f"expected init(...), got {line!r}")
+        var, _, init_text = line[len("init(") :].partition(") := ")
+        init_value = _parse_value(init_text.rstrip(";"), var)
+        pos += 1
+        header = current()
+        if header != f"next({var}) := case":
+            raise SmvParseError(f"expected next({var}) case block, got {header!r}")
+        pos += 1
+        cases: list[tuple[CondExpr, ValueExpr]] = []
+        while current() != "esac;":
+            if pos >= len(lines):
+                raise SmvParseError(f"unterminated case block for {var!r}")
+            arm = current().rstrip(";")
+            cond_text, _, value_text = arm.rpartition(" : ")
+            cases.append((_parse_cond(cond_text.strip()), _parse_value(value_text.strip(), var)))
+            pos += 1
+        pos += 1
+        assigns.append(SmvAssign(var, init_value, tuple(cases)))
+    return SmvModule(tuple(var_decls), tuple(assigns), tuple(specs))
+
+
+def _parse_value(text: str, var: str) -> ValueExpr:
+    if text.startswith("{") and text.endswith("}"):
+        return Choice(tuple(v.strip() for v in text[1:-1].split(",")))
+    if text == var:
+        return Keep(var)
+    return Literal(text)
+
+
+def _parse_cond(text: str) -> CondExpr:
+    if " | " in text:
+        return OrCond(tuple(_parse_cond(p) for p in text.split(" | ")))
+    if " & " in text:
+        return AndCond(tuple(_parse_cond(p) for p in text.split(" & ")))
+    if text.startswith("(") and text.endswith(")") and " = " in text:
+        var, _, value = text[1:-1].partition(" = ")
+        return GuardEq(var.strip(), value.strip())
+    if text.endswith(" != undetermined"):
+        return NotUndetermined(text[: -len(" != undetermined")].strip())
+    if text == "TRUE":
+        return ConstTrue()
+    return VarTrue(text)

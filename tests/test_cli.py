@@ -23,7 +23,8 @@ from conftest import (
 )
 from containcheck import cli, semantics
 from containcheck.cli import main
-from containcheck.ingest import print_dsl
+from containcheck.ingest import load_model, print_dsl
+from containcheck.smv import generate_smv
 
 CYCLIC = """\
 model Loop {
@@ -325,6 +326,27 @@ class TestCheck:
         low.write_text(print_dsl(chain_model(1200)))
         assert run("check", high, low, "--depth", 1300) == 0
         assert capsys.readouterr().out.count("is true") == 2
+
+    def test_unequal_branches_never_reach_the_join(self, tmp_path):
+        # A node with several incoming edges fires only in a step where
+        # all of them pulse together. The low model inserts X after B, so
+        # its join never fires and C never pulses: under the default join
+        # template every property about C holds vacuously.
+        high, low = tmp_path / "high.behavior", tmp_path / "low.behavior"
+        high.write_text(
+            "model H { initial S; fork K; action A; action B; join J; action C;"
+            " final E; S -> K; K -> A; K -> B; A -> J; B -> J; J -> C; C -> E }"
+        )
+        low.write_text(
+            "model L { initial S; fork K; action A; action B; action X; join J;"
+            " action C; final E; S -> K; K -> A; K -> B; B -> X; A -> J; X -> J;"
+            " J -> C; C -> E }"
+        )
+        system = semantics.build_system(generate_smv(load_model(str(low))))
+        reached = semantics.reachable_states(system).order
+        assert not any(system.atom_value(s, "C") for s in reached)
+        assert run("check", high, low) == 0
+        assert run("check", high, low, "--join-mode", "simultaneous") == 1
 
 
 class TestStartup:

@@ -4,6 +4,8 @@ recursive versions."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 
@@ -634,6 +636,26 @@ class TestDeepRecords:
         assert hash(one) == hash(two) == hash((one.left, one.right))
         expected = "".join(f"Implies(left=Atom(name={n!r}), right=" for n in names[:-1])
         assert repr(one) == expected + f"Atom(name={names[-1]!r})" + ")" * self.DEPTH
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle(self, clone):
+        assert sys.getrecursionlimit() < self.DEPTH
+        # An atom named G does not parse, so the copy cannot go through text.
+        negations = Atom("G")
+        for _ in range(self.DEPTH):
+            negations = Not(negations)
+        conjunction = conjoin([Atom(f"a{i}") for i in range(self.DEPTH + 1)])
+        implications = parse_ltl(" -> ".join(f"a{i}" for i in range(self.DEPTH + 1)))
+        for deep in (negations, conjunction, implications):
+            assert clone(deep) == deep
+        rng = random.Random(19)
+        for _ in range(200):
+            f = random_formula(rng, ["a", "b", "X"], 4)
+            assert clone(f) == f and repr(clone(f)) == repr(f)
 
     def test_wide_fork_properties_compare(self):
         # The fork property nests 1,500 conjuncts, and the join property's

@@ -17,6 +17,7 @@ from containcheck.semantics import (
     simulate,
 )
 from containcheck.smv import generate_smv
+from smv_reference import eval_cond
 
 MINIMAL = "model M { initial I; final F; I -> F }"
 
@@ -151,9 +152,11 @@ class TestPulseInvariants:
             for succ in sys.successors(state):
                 yield state, succ
 
-    def trigger_condition(self, sys, var):
+    def fired(self, sys, var, state):
+        """Whether the variable's trigger arm, its first case arm, holds
+        in the state, by the reference evaluator."""
         assign = next(a for a in sys.module.assigns if a.var == var)
-        return assign.cases[0][0]
+        return eval_cond(assign.cases[0][0], dict(sys.state_items(state)))
 
     @pytest.mark.parametrize("fixture", ["low_unsat_system", "low_sat_system"])
     def test_boolean_pulse_equals_trigger(self, fixture, request):
@@ -170,8 +173,7 @@ class TestPulseInvariants:
                 if var in initial_vars:
                     assert not sys.atom_value(succ, var)
                     continue
-                fired = sys._eval_cond(self.trigger_condition(sys, var), sys._values[state])
-                assert sys.atom_value(succ, var) == fired
+                assert sys.atom_value(succ, var) == self.fired(sys, var, state)
 
     @pytest.mark.parametrize("fixture", ["low_unsat_system", "low_sat_system"])
     def test_decision_exclusivity(self, fixture, request):
@@ -181,7 +183,7 @@ class TestPulseInvariants:
         decisions = [d.name for d in sys.module.vars if not d.is_boolean]
         for state, succ in self.zip_edges(sys):
             for var in decisions:
-                fired = sys._eval_cond(self.trigger_condition(sys, var), sys._values[state])
+                fired = self.fired(sys, var, state)
                 now = sys.value_of(state, var)
                 nxt = sys.value_of(succ, var)
                 if fired:
@@ -198,7 +200,7 @@ class TestPulseInvariants:
         for state in reachable_states(sys).order:
             expected = 1
             for var, branches in decisions.items():
-                if sys._eval_cond(self.trigger_condition(sys, var), sys._values[state]):
+                if self.fired(sys, var, state):
                     expected *= branches
             assert len(sys.successors(state)) == expected
 
@@ -231,8 +233,7 @@ class TestPulseInvariants:
                 for var in sys.var_names:
                     if not sys.is_boolean_var(var) or var in initial_vars:
                         continue
-                    fired = sys._eval_cond(self.trigger_condition(sys, var), sys._values[state])
-                    assert sys.atom_value(succ, var) == fired
+                    assert sys.atom_value(succ, var) == self.fired(sys, var, state)
 
 
 class TestStateIds:

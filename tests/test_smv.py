@@ -1,4 +1,5 @@
-"""SMV generation templates, rendering, bundling, and the minimal reader."""
+"""SMV generation templates, rendering and bundling, with round-trips
+through the test reference reader in smv_reference.py."""
 
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from containcheck.smv import (
     VarTrue,
     bundle_check_file,
     generate_smv,
-    parse_smv,
     render_smv,
 )
+from smv_reference import parse_smv, var_decl
 
 MINIMAL = "model M { initial I; final F; I -> F }"
 
@@ -116,7 +117,7 @@ class TestGenerate:
         for node in low_unsat_model.nodes:
             if node.kind is not NodeKind.DECISION:
                 continue
-            decl = module.var_decl(node.id)
+            decl = var_decl(module, node.id)
             expected = tuple(
                 f"guard_{node.id}_{e.target}" for e in low_unsat_model.outgoing(node.id)
             )
@@ -125,7 +126,7 @@ class TestGenerate:
     def test_pulse_shape(self, low_unsat_model):
         module = generate_smv(low_unsat_model)
         for assign in module.assigns:
-            decl = module.var_decl(assign.var)
+            decl = var_decl(module, assign.var)
             if not decl.is_boolean:
                 continue
             cases = assign.cases
