@@ -17,8 +17,10 @@ system whose walk from the initial state meets only states with exactly
 one successor, and closes within the cap, has one run, a lasso; every
 low-level model without a decision node is such a system. A property then
 holds exactly when it holds on that lasso (Markey and Schnoebelen, "Model
-checking a path", CONCUR 2003), which evaluate_on_lasso decides in time
-linear in the formula times the run. Such a property is reported holding
+checking a path", CONCUR 2003). evaluate_on_lasso decides it with each
+subformula's truth along the run held as an int, bit i at position i, so
+each operator costs one or two operations on ints as wide as the run; the
+system gives each atom's column once. Such a property is reported holding
 with no product when check's product provably fits the cap: the run's
 length times the automaton's states is at most the cap. The automaton is
 built once per formula shape (see `_shape`) to size it. Every other
@@ -45,6 +47,7 @@ from .semantics import (
     StateCapExceeded,
     TransitionSystem,
     reachable_states,
+    truth_bits,
 )
 
 ORACLE_STATE_LIMIT = 4096
@@ -307,12 +310,11 @@ def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -
     run = _single_run(sys, cap)
     if run is not None:
         loop_start, states = run
-        columns: dict[str, list[bool]] = {}  # atom -> its truth along the run
+        columns: dict[str, int] = {}  # atom -> its truth along the run, as bits
 
-        def column(atom: str) -> list[bool]:
+        def column(atom: str) -> int:
             if atom not in columns:
-                # _check_atoms has vetted the atom.
-                columns[atom] = [sys.value_of(s, atom) for s in states]
+                columns[atom] = sys.atom_bits(states, atom)
             return columns[atom]
 
     sizes: dict[tuple, int] = {}  # shape -> automaton states
@@ -370,10 +372,10 @@ def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
     """Truth of the formula at position 0 of the word prefix . loop^omega,
     by direct evaluation over the lasso's positions (no automaton involved).
 
-    Each subformula object is labeled with its truth at every position
-    once, operands first, in an explicit post-order: time is linear in
-    the formula's size times the lasso's length, and depth is bounded by
-    memory only.
+    Each subformula object is labeled once, operands first, in an explicit
+    post-order, with an int whose bit i is its truth at position i: each
+    operator is one or two operations on ints as wide as the lasso, and
+    depth is bounded by memory only.
 
     atom_value(state, name) supplies atom truth per state.
     """
@@ -384,15 +386,23 @@ def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
         formula,
         len(prefix),
         len(states),
-        lambda name: [bool(atom_value(s, name)) for s in states],
+        lambda name: truth_bits([atom_value(s, name) for s in states]),
     )
 
 
-def _holds_on_lasso(formula: ltl.Formula, loop_start: int, n: int, atom_label) -> bool:
+def _holds_on_lasso(formula: ltl.Formula, loop_start: int, n: int, atom_bits) -> bool:
     """evaluate_on_lasso on a lasso of n positions whose loop starts at
-    loop_start; atom_label(name) gives the atom's truth at every position
-    as a list, which is only read."""
-    labels: dict[int, list[bool]] = {}  # id(subformula) -> truth per position
+    loop_start; atom_bits(name) gives the atom's truth along the lasso as
+    an int, bit i at position i."""
+    full = (1 << n) - 1
+    loop = full >> loop_start << loop_start
+
+    def eventually(x: int) -> int:
+        # A loop position reaches the whole loop; a prefix position reaches
+        # itself and every later one.
+        return full if x & loop else (1 << x.bit_length()) - 1
+
+    labels: dict[int, int] = {}  # id(subformula) -> truth per position, as bits
     stack = [formula]
     while stack:
         f = stack[-1]
@@ -407,41 +417,33 @@ def _holds_on_lasso(formula: ltl.Formula, loop_start: int, n: int, atom_label) -
         stack.pop()
         args = [labels[id(o)] for o in operands]
         if isinstance(f, ltl.Atom):
-            label = atom_label(f.name)
+            label = atom_bits(f.name)
         elif isinstance(f, ltl.TrueConst):
-            label = [True] * n
+            label = full
         elif isinstance(f, ltl.FalseConst):
-            label = [False] * n
+            label = 0
         elif isinstance(f, ltl.Not):
-            label = [not v for v in args[0]]
+            label = full ^ args[0]
         elif isinstance(f, ltl.Next):
-            label = args[0][1:] + [args[0][loop_start]]
+            # The last position's next is the loop's first.
+            label = args[0] >> 1 | (args[0] >> loop_start & 1) << (n - 1)
         elif isinstance(f, ltl.Eventually):
-            label = _eventually(args[0], loop_start)
+            label = eventually(args[0])
         elif isinstance(f, ltl.Always):
             # G f = !F !f
-            label = [not v for v in _eventually([not v for v in args[0]], loop_start)]
+            label = full ^ eventually(full ^ args[0])
         elif isinstance(f, ltl.And):
-            label = [a and b for a, b in zip(*args)]
+            label = args[0] & args[1]
         elif isinstance(f, ltl.Or):
-            label = [a or b for a, b in zip(*args)]
+            label = args[0] | args[1]
         elif isinstance(f, ltl.Xor):
-            label = [a != b for a, b in zip(*args)]
+            label = args[0] ^ args[1]
         elif isinstance(f, ltl.Implies):
-            label = [(not a) or b for a, b in zip(*args)]
+            label = (full ^ args[0]) | args[1]
         else:
             raise TypeError(f"unevaluable formula {f!r}")
         labels[id(f)] = label
-    return labels[id(formula)][0]
-
-
-def _eventually(inner: list[bool], loop_start: int) -> list[bool]:
-    """F over a lasso: a loop position reaches the whole loop, a prefix
-    position itself and every later one."""
-    label = [any(inner[loop_start:])] * len(inner)
-    for i in range(loop_start - 1, -1, -1):
-        label[i] = inner[i] or label[i + 1]
-    return label
+    return bool(labels[id(formula)] & 1)
 
 
 class OracleError(Exception):

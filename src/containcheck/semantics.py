@@ -1,17 +1,36 @@
-"""Finite transition system induced by a generated SMV module.
+"""Finite transition system induced by an SMV module.
 
 A state assigns one value per variable (Python bools for node variables,
 value strings for decision scalars: "undetermined" or a guard value), as a
 tuple in the module's declaration order. The system numbers each distinct
 tuple once, when first reached, and callers hold states by that int: only
-this module sees the tuples. Successors evaluate every variable's first
-matching case arm against the current state simultaneously; nondeterministic
-decision arms expand into one successor per chosen value.
+this module sees the tuples.
+
+The module is compiled once. Each variable's case arms become tests over
+column indexes with their values decoded, and a reader index maps each
+variable to the variables whose conditions read it. A variable is idle
+when it holds its idle value (FALSE for a node, undetermined for a
+scalar) and active otherwise. A successor evaluates, by first matching
+arm against the current state, the readers of the active variables and
+the variables that are always evaluated; every other variable keeps its
+value. A variable is always evaluated when its last arm is not
+`TRUE : <itself>`, or when one of its other arms holds with every
+variable it reads idle. So a variable that is not evaluated reads only
+idle variables, matches none of its earlier arms, and falls through to
+the arm that keeps it: the rule holds for any module, not only generated
+ones. In a generated module a step pulses a few nodes, so a successor
+costs what those pulses can move, not the module's size.
+
+Nondeterministic arms expand into one successor per chosen value, in
+itertools.product order over the choosing variables in declaration order.
+A module's errors (no arm matches, a literal that is not a value of its
+variable) are raised by the successors call that meets them.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
+from operator import itemgetter, ne
 
 from .model import synthetic_guard
 from .record import Record, setfield
@@ -48,6 +67,11 @@ class ChoicesExhausted(Exception):
     """Raised by simulate when a branching state has no remaining choice."""
 
 
+# What a compiled arm yields: a decoded literal, a copy of a column, a
+# choice of values, or the error its literal raises when the arm fires.
+_LITERAL, _KEEP, _CHOICE, _BAD = range(4)
+
+
 class TransitionSystem:
     """Computing successors numbers the states they reach, so a system is
     not thread-safe (nothing here uses threads); only id equality matters."""
@@ -59,16 +83,73 @@ class TransitionSystem:
         self._scalars = {
             d.name: d.scalar_values for d in module.vars if not d.is_boolean
         }
-        self._assigns = tuple(sorted(module.assigns, key=lambda a: self._index[a.var]))
-        if tuple(a.var for a in self._assigns) != self.var_names:
+        assigns = tuple(sorted(module.assigns, key=lambda a: self._index[a.var]))
+        if tuple(a.var for a in assigns) != self.var_names:
             raise ValueError("module must assign every declared variable exactly once")
+        self._columns = range(len(self.var_names))
+        self._idle = tuple(
+            False if d.is_boolean else "undetermined" for d in module.vars
+        )
+        readers: list[set[int]] = [set() for _ in self._columns]
+        always: list[int] = []
+        arms_by_column = []
+        for col, assign in enumerate(assigns):
+            reads: set[int] = set()
+            arms = tuple(
+                (self._test(cond, reads),) + self._arm_value(assign.var, value)
+                for cond, value in assign.cases
+            )
+            arms_by_column.append(arms)
+            for read in reads:
+                readers[read].add(col)
+            keeps_itself = assign.cases[-1:] == ((ConstTrue(), Keep(assign.var)),)
+            if not keeps_itself or any(test(self._idle) for test, _, _ in arms[:-1]):
+                always.append(col)
+        self._arms = tuple(arms_by_column)
+        self._readers = tuple(tuple(r) for r in readers)
+        self._always = tuple(always)
         self._values: list[tuple] = []
         self._ids: dict[tuple, State] = {}
         self.initial = self._intern(
-            tuple(self._init_value(a.init, a.var) for a in self._assigns)
+            tuple(self._init_value(a.init, a.var) for a in assigns)
         )
         # One entry per state whose successors were computed; bench/tracer.py counts them.
         self._successor_cache: dict[State, tuple[State, ...]] = {}
+
+    def _test(self, cond: CondExpr, reads: set[int]):
+        """The condition as a predicate over a value tuple; adds the
+        columns it reads to `reads`."""
+        if isinstance(cond, VarTrue):
+            col = self._index[cond.name]
+            reads.add(col)
+            return itemgetter(col)
+        if isinstance(cond, GuardEq):
+            col, value = self._index[cond.var], cond.value
+            reads.add(col)
+            return lambda values: values[col] == value
+        if isinstance(cond, NotUndetermined):
+            col = self._index[cond.var]
+            reads.add(col)
+            return lambda values: values[col] != "undetermined"
+        if isinstance(cond, ConstTrue):
+            return lambda values: True
+        if isinstance(cond, (AndCond, OrCond)):
+            tests = tuple(self._test(part, reads) for part in cond.parts)
+            fold = all if isinstance(cond, AndCond) else any
+            return lambda values: fold(test(values) for test in tests)
+        raise TypeError(f"unevaluable condition {cond!r}")
+
+    def _arm_value(self, var: str, value: ValueExpr) -> tuple:
+        if isinstance(value, Literal):
+            try:
+                return _LITERAL, self._decode(var, value.text)
+            except ValueError as exc:
+                return _BAD, str(exc)
+        if isinstance(value, Keep):
+            return _KEEP, self._index[value.var]
+        if isinstance(value, Choice):
+            return _CHOICE, tuple(value.values)
+        raise TypeError(f"unevaluable value {value!r}")
 
     def _intern(self, values: tuple) -> State:
         state = self._ids.setdefault(values, len(self._values))
@@ -93,11 +174,20 @@ class TransitionSystem:
     def is_boolean_var(self, name: str) -> bool:
         return name in self._index and name not in self._scalars
 
-    def atom_value(self, state: State, atom: str) -> bool:
+    def _atom_column(self, atom: str) -> int:
         """Atoms name boolean node variables only."""
         if not self.is_boolean_var(atom):
             raise ValueError(f"atom {atom!r} is not a boolean variable")
-        return self._values[state][self._index[atom]]
+        return self._index[atom]
+
+    def atom_value(self, state: State, atom: str) -> bool:
+        return self._values[state][self._atom_column(atom)]
+
+    def atom_bits(self, states, atom: str) -> int:
+        """The atom's truth along a sequence of states, as an int whose
+        bit i is its value in states[i]."""
+        column = self._atom_column(atom)
+        return truth_bits([self._values[s][column] for s in states])
 
     def value_of(self, state: State, name: str):
         return self._values[state][self._index[name]]
@@ -112,21 +202,6 @@ class TransitionSystem:
                 out.append((name, value))
         return out
 
-    def _eval_cond(self, cond: CondExpr, values: tuple) -> bool:
-        if isinstance(cond, VarTrue):
-            return bool(values[self._index[cond.name]])
-        if isinstance(cond, GuardEq):
-            return values[self._index[cond.var]] == cond.value
-        if isinstance(cond, NotUndetermined):
-            return values[self._index[cond.var]] != "undetermined"
-        if isinstance(cond, ConstTrue):
-            return True
-        if isinstance(cond, AndCond):
-            return all(self._eval_cond(p, values) for p in cond.parts)
-        if isinstance(cond, OrCond):
-            return any(self._eval_cond(p, values) for p in cond.parts)
-        raise TypeError(f"unevaluable condition {cond!r}")
-
     def successors(self, state: State) -> tuple[State, ...]:
         """All next states under simultaneous update; never empty for
         states of generated modules (the default arms totalize)."""
@@ -134,24 +209,40 @@ class TransitionSystem:
         if cached is not None:
             return cached
         values = self._values[state]
-        per_var: list[tuple] = []
-        for assign in self._assigns:
-            for cond, value in assign.cases:
-                if self._eval_cond(cond, values):
+        evaluated = set(self._always)
+        for col in compress(self._columns, map(ne, values, self._idle)):
+            evaluated.update(self._readers[col])
+        after = list(values)
+        choosing: list[int] = []
+        choices: list[tuple] = []
+        for col in sorted(evaluated):
+            for test, kind, payload in self._arms[col]:
+                if test(values):
                     break
             else:
-                raise ValueError(f"no case arm matched for {assign.var!r}")
-            if isinstance(value, Literal):
-                per_var.append((self._decode(assign.var, value.text),))
-            elif isinstance(value, Keep):
-                per_var.append((values[self._index[value.var]],))
-            elif isinstance(value, Choice):
-                per_var.append(tuple(value.values))
+                raise ValueError(f"no case arm matched for {self.var_names[col]!r}")
+            if kind == _LITERAL:
+                after[col] = payload
+            elif kind == _KEEP:
+                after[col] = values[payload]
+            elif kind == _CHOICE:
+                choosing.append(col)
+                choices.append(payload)
             else:
-                raise TypeError(f"unevaluable value {value!r}")
-        result = tuple(map(self._intern, product(*per_var)))
+                raise ValueError(payload)
+        succs = []
+        for picked in product(*choices):  # once, with nothing picked, if no choices
+            for col, value in zip(choosing, picked):
+                after[col] = value
+            succs.append(self._intern(tuple(after)))
+        result = tuple(succs)
         self._successor_cache[state] = result
         return result
+
+
+def truth_bits(flags) -> int:
+    """The int whose bit i is the truth of flags[i], for a sequence."""
+    return int("".join(["1" if flag else "0" for flag in reversed(flags)]) or "0", 2)
 
 
 def build_system(module: SmvModule) -> TransitionSystem:

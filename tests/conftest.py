@@ -1,10 +1,12 @@
 """Shared fixtures: the order-processing models, their systems, a seeded
 generator of random well-formed acyclic models for the property-based
-suites, chain/fork/decision model families, and random formulas."""
+suites, decision-free cyclic models drawn from random digraphs,
+chain/fork/decision model families, and random formulas."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -163,6 +165,31 @@ def random_digraph(seed: int, max_nodes: int = 12) -> ActivityModel:
     for _ in range(rng.randint(0, 2 * n)):
         edges.append(Edge(rng.choice(names), rng.choice(names)))
     return ActivityModel("RandomDigraph", nodes, edges)
+
+
+def functional_low(seed: int) -> ActivityModel:
+    """A decision-free low model, cyclic as a rule: a fork starts a final
+    node and G0, whose run follows the first out-edge of each node of
+    random_digraph(seed); a node without one leads to a second final node,
+    and a node entered twice is a merge, so a loop keeps running."""
+    first: dict[str, str] = {}
+    for e in random_digraph(seed).edges:
+        first.setdefault(e.source, e.target)
+    edges = [("I", "K"), ("K", "Stop"), ("K", "G0")]
+    order: list[str] = []
+    node = "G0"
+    while node not in order and node != "F_end":
+        order.append(node)
+        edges.append((node, first.get(node, "F_end")))
+        node = edges[-1][1]
+    incoming = Counter(target for _, target in edges)
+    nodes = [Node("I", NodeKind.INITIAL), Node("K", NodeKind.FORK), Node("Stop", NodeKind.FINAL)]
+    nodes += [Node(n, NodeKind.MERGE if incoming[n] > 1 else NodeKind.ACTION) for n in order]
+    if incoming["F_end"]:
+        nodes.append(Node("F_end", NodeKind.FINAL))
+    model = ActivityModel(f"Functional{seed}", nodes, [Edge(a, b) for a, b in edges])
+    assert not validate(model)
+    return model
 
 
 def chain_model(n: int) -> ActivityModel:

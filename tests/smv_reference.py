@@ -1,13 +1,16 @@
 """Test references for the SMV layer: a reader for the generator's own
 output, so tests can pin `render_smv` as lossless, and an evaluator of
-case-arm conditions over a state's printed values, so pulse-invariant
-tests do not check the transition system against itself.
+case-arm conditions and of successors over a state's printed values, so
+pulse-invariant and successor tests do not check the transition system
+against itself.
 
-Neither is a general SMV front end; the runtime only generates and
+None of them is a general SMV front end; the runtime only generates and
 renders SMV.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from containcheck.smv import (
     AndCond,
@@ -54,6 +57,30 @@ def eval_cond(cond: CondExpr, items: dict[str, str]) -> bool:
     if isinstance(cond, OrCond):
         return any(eval_cond(p, items) for p in cond.parts)
     raise TypeError(f"unevaluable condition {cond!r}")
+
+
+def reference_successors(module: SmvModule, items: dict[str, str]) -> list[dict[str, str]]:
+    """The successors of a state, given as the dict of its `state_items`,
+    as such dicts: every variable takes the value of its first case arm
+    that holds, and choices expand in itertools.product order over the
+    variables in declaration order. Literals are not checked against
+    their variable's values."""
+    per_var = []
+    for decl in module.vars:
+        assign = next(a for a in module.assigns if a.var == decl.name)
+        for cond, value in assign.cases:
+            if eval_cond(cond, items):
+                break
+        else:
+            raise ValueError(f"no case arm matched for {decl.name!r}")
+        if isinstance(value, Literal):
+            per_var.append((value.text,))
+        elif isinstance(value, Keep):
+            per_var.append((items[value.var],))
+        else:
+            per_var.append(value.values)
+    names = [decl.name for decl in module.vars]
+    return [dict(zip(names, values)) for values in product(*per_var)]
 
 
 def parse_smv(text: str) -> SmvModule:

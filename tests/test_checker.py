@@ -18,9 +18,9 @@ from conftest import (
     decision_model,
     fork_model,
     fork_of_decisions_model,
+    functional_low,
     lasso_violates,
     number_backwards,
-    random_digraph,
     random_formula,
     random_valid_model,
 )
@@ -39,7 +39,7 @@ from containcheck.checker import (
 from containcheck.automaton import automaton_for_negation
 from containcheck.ingest import load_model, parse_dsl
 from containcheck.ltl import generate_properties, parse_ltl, render_formula
-from containcheck.model import ActivityModel, Edge, Node, NodeKind, validate
+from containcheck.model import NodeKind
 from containcheck.semantics import StateCapExceeded, build_system, reachable_states
 from containcheck.smv import generate_smv
 
@@ -484,31 +484,6 @@ def per_property(sys, properties, cap):
         return out
 
     return outcome(run)
-
-
-def functional_low(seed: int) -> ActivityModel:
-    """A decision-free low model, cyclic as a rule: a fork starts a final
-    node and G0, whose run follows the first out-edge of each node of
-    random_digraph(seed); a node without one leads to a second final node,
-    and a node entered twice is a merge, so a loop keeps running."""
-    first: dict[str, str] = {}
-    for e in random_digraph(seed).edges:
-        first.setdefault(e.source, e.target)
-    edges = [("I", "K"), ("K", "Stop"), ("K", "G0")]
-    order: list[str] = []
-    node = "G0"
-    while node not in order and node != "F_end":
-        order.append(node)
-        edges.append((node, first.get(node, "F_end")))
-        node = edges[-1][1]
-    incoming = Counter(target for _, target in edges)
-    nodes = [Node("I", NodeKind.INITIAL), Node("K", NodeKind.FORK), Node("Stop", NodeKind.FINAL)]
-    nodes += [Node(n, NodeKind.MERGE if incoming[n] > 1 else NodeKind.ACTION) for n in order]
-    if incoming["F_end"]:
-        nodes.append(Node("F_end", NodeKind.FINAL))
-    model = ActivityModel(f"Functional{seed}", nodes, [Edge(a, b) for a, b in edges])
-    assert not validate(model)
-    return model
 
 
 def single_run_length(sys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -349,6 +350,18 @@ class TestCheck:
         assert run("check", high, low, "--join-mode", "simultaneous") == 1
 
 
+def run_child(source: str) -> subprocess.CompletedProcess:
+    """Run Python source in a fresh interpreter that imports this package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-S", "-c", source],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestStartup:
     # What a default run must not load: dataclasses brings in inspect (and
     # with it ast and dis), and the NuSMV bridge brings in subprocess.
@@ -357,19 +370,11 @@ class TestStartup:
     ENGINE = ("containcheck.checker", "containcheck.automaton", "containcheck.semantics")
 
     def run_child(self, body: str, unneeded) -> subprocess.CompletedProcess:
-        child = (
+        return run_child(
             "import sys\n"
             f"unneeded = {tuple(unneeded)!r}\n"
             "def loaded(): return [m for m in unneeded if m in sys.modules]\n"
             + body
-        )
-        src = Path(cli.__file__).resolve().parents[1]
-        return subprocess.run(
-            [sys.executable, "-S", "-c", child],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=60,
         )
 
     def test_default_run_loads_no_unneeded_module(self):
@@ -422,6 +427,35 @@ class TestStartup:
         assert result.stderr.splitlines()[-1] == repr(
             ([], list(self.ENGINE), "module 'containcheck' has no attribute 'no_such_name'")
         )
+
+
+class TestScale:
+    """A single run is checked in time that grows with what its pulses
+    move, not with the model's size at every step. Each bound is the
+    child's own CPU time, interpreter start included."""
+
+    @pytest.mark.parametrize(
+        "high_n, low_n, bound",
+        [(1500, 1500, 2.5), (1, 1200, 1.0)],
+        ids=["chain1500-itself", "chain1-in-chain1200"],
+    )
+    def test_long_chain(self, tmp_path, high_n, low_n, bound):
+        paths = []
+        for role, n in (("high", high_n), ("low", low_n)):
+            path = tmp_path / f"{role}.behavior"
+            path.write_text(print_dsl(chain_model(n)))
+            paths.append(str(path))
+        result = run_child(
+            "import sys, time\n"
+            "from containcheck.cli import main\n"
+            f"code = main(['check', *{paths!r}, '--format', 'json'])\n"
+            "print(repr((code, time.process_time())), file=sys.stderr)\n"
+        )
+        code, cpu_s = ast.literal_eval(result.stderr.splitlines()[-1])
+        assert code == 0
+        properties = json.loads(result.stdout)["properties"]
+        assert properties and all(p["holds"] for p in properties)
+        assert cpu_s < bound
 
 
 class TestInternalError:

@@ -1,13 +1,26 @@
-"""Transition-system construction, reachability, simulation, and the pulse
-invariants of the generated encoding."""
+"""Transition-system construction, reachability, simulation, the pulse
+invariants of the generated encoding, and successors against a reference
+that evaluates every variable."""
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import fork_of_decisions_model, number_backwards, random_valid_model
+from conftest import (
+    FULFILMENT_LOW,
+    HIGH,
+    LOW_SAT,
+    LOW_UNSAT,
+    chain_model,
+    decision_model,
+    fork_model,
+    fork_of_decisions_model,
+    functional_low,
+    number_backwards,
+    random_valid_model,
+)
 from containcheck.checker import check_all
-from containcheck.ingest import parse_dsl
+from containcheck.ingest import load_model, parse_dsl
 from containcheck.ltl import generate_properties
 from containcheck.semantics import (
     ChoicesExhausted,
@@ -16,10 +29,23 @@ from containcheck.semantics import (
     reachable_states,
     simulate,
 )
-from containcheck.smv import generate_smv
-from smv_reference import eval_cond
+from containcheck.smv import (
+    ConstTrue,
+    Keep,
+    Literal,
+    SmvAssign,
+    SmvModule,
+    SmvVarDecl,
+    VarTrue,
+    generate_smv,
+)
+from smv_reference import eval_cond, parse_smv, reference_successors
 
 MINIMAL = "model M { initial I; final F; I -> F }"
+LOOP = """model Loop {
+    initial I; merge M; action A; decision D; final F_end;
+    I -> M; M -> A; A -> D; D -> M [again]; D -> F_end [done];
+}"""
 
 
 def system_of(text: str):
@@ -273,3 +299,177 @@ class TestStateIds:
         ]
         assert as_values[0] != as_values[1]
         assert sorted(as_values[0]) == sorted(as_values[1])
+
+
+def reference_graph_matches(module) -> int:
+    """Walk the system breadth first and check every successors call
+    against reference_successors: the same states in the same order,
+    numbered as first met. Returns the number of states."""
+    sys = build_system(module)
+    names = [decl.name for decl in module.vars]
+    initial = {a.var: a.init.text for a in module.assigns}
+    ids = {tuple(initial[n] for n in names): 0}
+    order = [initial]
+    for state, items in enumerate(order):
+        expected = []
+        for succ in reference_successors(module, items):
+            key = tuple(succ[n] for n in names)
+            if key not in ids:
+                ids[key] = len(order)
+                order.append(succ)
+            expected.append(ids[key])
+        assert sys.successors(state) == tuple(expected), (state, items)
+    for key, state in ids.items():
+        assert tuple(v for _, v in sys.state_items(state)) == key
+    return len(order)
+
+
+# Hand-written modules whose variables change while every variable they
+# read is idle, so only the always-evaluated set moves them.
+EARLY_TRUE_ARM = """\
+MODULE main
+VAR
+    x : boolean;
+    y : boolean;
+    light : {red, green};
+    seen : boolean;
+ASSIGN
+init(x) := TRUE;
+next(x) := case
+    TRUE : FALSE;
+    y : TRUE;
+    TRUE : x;
+esac;
+init(y) := FALSE;
+next(y) := case
+    y : FALSE;
+    TRUE : y;
+esac;
+init(light) := red;
+next(light) := case
+    (light = red) : green;
+    (light = green) : red;
+    TRUE : light;
+esac;
+init(seen) := FALSE;
+next(seen) := case
+    (light = green) : TRUE;
+    seen : FALSE;
+    TRUE : seen;
+esac;
+"""
+
+FALSE_DEFAULT = """\
+MODULE main
+VAR
+    p : boolean;
+    q : boolean;
+ASSIGN
+init(p) := TRUE;
+next(p) := case
+    q : TRUE;
+    TRUE : FALSE;
+esac;
+init(q) := FALSE;
+next(q) := case
+    q : FALSE;
+    TRUE : q;
+esac;
+"""
+
+
+def copying_module() -> SmvModule:
+    """`a` blinks, and `b` copies it through a last arm that keeps `a`;
+    `b` reads no variable at all."""
+    return SmvModule(
+        (SmvVarDecl("a"), SmvVarDecl("b")),
+        (
+            SmvAssign("a", Literal("TRUE"), (
+                (VarTrue("a"), Literal("FALSE")),
+                (ConstTrue(), Literal("TRUE")),
+            )),
+            SmvAssign("b", Literal("FALSE"), ((ConstTrue(), Keep("a")),)),
+        ),
+    )
+
+
+def malformed_module(arm_value: str, scalar: bool = False) -> SmvModule:
+    """`go` pulses once, then `mid`; `x` takes `arm_value` when `mid`
+    pulses, one step after the initial state."""
+    def node(name, init, *trigger):
+        fire = tuple((cond, Literal("TRUE")) for cond in trigger)
+        return SmvAssign(name, Literal(init), fire + (
+            (VarTrue(name), Literal("FALSE")),
+            (ConstTrue(), Keep(name)),
+        ))
+
+    x_decl = SmvVarDecl("x", ("undetermined", "left")) if scalar else SmvVarDecl("x")
+    x_init = "undetermined" if scalar else "FALSE"
+    return SmvModule(
+        (SmvVarDecl("go"), SmvVarDecl("mid"), x_decl),
+        (
+            node("go", "TRUE"),
+            node("mid", "FALSE", VarTrue("go")),
+            SmvAssign("x", Literal(x_init), (
+                (VarTrue("mid"), Literal(arm_value)),
+                (ConstTrue(), Keep("x")),
+            )),
+        ),
+    )
+
+
+class TestCompiledSuccessors:
+    """Successors evaluate only the readers of active variables and the
+    variables that are always evaluated; every graph equals the one that
+    evaluating every variable's first matching arm gives."""
+
+    def test_random_valid_models(self):
+        for seed in range(200):
+            reference_graph_matches(generate_smv(random_valid_model(seed)))
+
+    def test_cyclic_models_from_random_digraphs(self):
+        for seed in range(100):
+            reference_graph_matches(generate_smv(functional_low(seed)))
+
+    @pytest.mark.parametrize(
+        "model",
+        [chain_model(n) for n in (1, 2, 7, 40)]
+        + [fork_model(w) for w in (2, 3, 6)]
+        + [decision_model(k) for k in (2, 3, 5)]
+        + [fork_of_decisions_model(k) for k in (2, 3, 4)]
+        + [parse_dsl(LOOP)],
+        ids=lambda model: model.name,
+    )
+    def test_families(self, model):
+        reference_graph_matches(generate_smv(model))
+
+    @pytest.mark.parametrize("path", [HIGH, LOW_SAT, LOW_UNSAT, FULFILMENT_LOW], ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        reference_graph_matches(generate_smv(load_model(str(path))))
+
+    def test_true_arm_before_the_last(self):
+        # x turns FALSE with y idle; light never takes its idle value.
+        assert reference_graph_matches(parse_smv(EARLY_TRUE_ARM)) == 3
+
+    def test_last_arm_that_does_not_keep_the_variable(self):
+        assert reference_graph_matches(parse_smv(FALSE_DEFAULT)) == 2
+        assert reference_graph_matches(copying_module()) == 2
+
+    @pytest.mark.parametrize(
+        "arm_value, scalar, message",
+        [
+            ("maybe", False, "'maybe' is not a boolean value"),
+            ("right", True, "'right' is not a value of 'x'"),
+        ],
+    )
+    def test_malformed_literal_raises_when_its_arm_fires(self, arm_value, scalar, message):
+        sys = build_system(malformed_module(arm_value, scalar))
+        (after_go,) = sys.successors(sys.initial)
+        with pytest.raises(ValueError, match=message):
+            sys.successors(after_go)
+
+    def test_no_matching_arm_raises_when_met(self):
+        module = parse_smv(FALSE_DEFAULT.replace("    TRUE : FALSE;\n", ""))
+        sys = build_system(module)
+        with pytest.raises(ValueError, match="no case arm matched for 'p'"):
+            sys.successors(sys.initial)
