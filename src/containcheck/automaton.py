@@ -20,6 +20,10 @@ Cost tracks the automaton, not the formula's printed size:
 - a node's successors depend only on its Next set, so each distinct Next
   set is expanded once per build (366 for a 6-way decision's 2,446
   states) and the depth-first numbering is replayed over the expansions;
+- `G f` is `FALSE R f`, whose second half walks the rest of its node and
+  dies at FALSE. Its splits are counted, 2^m - 1 for the m disjunctions
+  on that walk, not walked, so the state ids stay those of the full walk
+  (6,542 pending nodes for a 6-way decision instead of 16,718);
 - no walk recurses, so formula depth is bounded by memory only.
 """
 
@@ -252,7 +256,9 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
     are the successors. `expand` runs that split loop once per Next set. A
     split pushes its second half before its first, and each leaf records
     the number of splits made before it, the split that pushed it (0 for
-    the seed itself) and which half it is.
+    the seed itself) and which half it is. The second half of a G split
+    would die at FALSE, so `dead_splits` counts its splits instead, and a
+    marker in its place adds them when it pops.
 
     State ids are those of one depth-first walk over every pending node:
     a split adds 2 to a counter and its halves take the old value +1 and
@@ -269,13 +275,37 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
     by_rank = sorted(range(len(kind)), key=table.repr_ranks().__getitem__)
     complement = {f: 1 << c if c >= 0 else 0 for f, c in table.complement.items()}
 
+    def dead_splits(rest: list[int], old: int) -> int:
+        """The splits of a pending node that walks `rest` from `old` and
+        then meets FALSE. Each split inside it appends its parts after
+        FALSE, so both halves walk the same obligations from the same
+        `old`: m not-yet-held disjunctions on the walk give 2^m - 1."""
+        m = 0
+        for f in rest:
+            bit = 1 << f
+            if old & bit:
+                continue
+            k = kind[f]
+            if k == _TRUE:
+                continue
+            if k == _FALSE or k == _LIT and old & complement[f]:
+                break
+            old |= bit
+            if k in (_OR, _RELEASE, _UNTIL):
+                m += 1
+        return (1 << m) - 1
+
     @cache
     def expand(seed: int) -> tuple[list[tuple], int]:
         leaves: list[tuple] = []
         splits = 0
-        stack = [(0, 0, [f for f in by_rank if seed >> f & 1], 0, 0)]
+        stack: list = [(0, 0, [f for f in by_rank if seed >> f & 1], 0, 0)]
         while stack:
-            split, half, new, old, nxt = stack.pop()
+            entry = stack.pop()
+            if type(entry) is int:  # a dead G half: the splits it would make
+                splits += entry
+                continue
+            split, half, new, old, nxt = entry
             # `new` may grow while it is walked; the walk then reaches the
             # added obligations too.
             for i, f in enumerate(new, 1):
@@ -311,9 +341,13 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
                     second = (rest + [right[f]], nxt)
                 else:
                     first = (rest + [right[f]], nxt | bit)
-                    second = (rest + [left[f], right[f]], nxt)
+                    # G f = FALSE R f: the second half would die at FALSE.
+                    second = None if kind[left[f]] == _FALSE else (rest + [left[f], right[f]], nxt)
                 splits += 1
-                stack.append((splits, 2, second[0], old, second[1]))
+                if second is None:
+                    stack.append(dead_splits(rest, old))
+                else:
+                    stack.append((splits, 2, second[0], old, second[1]))
                 stack.append((splits, 1, first[0], old, first[1]))
                 break
             else:

@@ -12,6 +12,13 @@ comes first, ending at that member; the loop starts there and visits the
 acceptance sets in order, each by a shortest path inside the SCC, before
 a shortest path back closes it.
 
+A product edge is tested on bitmasks, bit i for the property's i-th atom
+in sorted order: a system state's mask holds its true atoms, and an
+automaton state's (pos, care) pair holds the atoms its literals want
+true and every atom they name. The edge into a state is taken when
+mask & care == pos. Each mask and pair is built when the product first
+reaches its state.
+
 check_all() builds a product only where one can change the answer. A
 system whose walk from the initial state meets only states with exactly
 one successor, and closes within the cap, has one run, a lasso; every
@@ -124,11 +131,6 @@ def _check_atoms(sys: TransitionSystem, formula: ltl.Formula) -> None:
         raise UnknownAtomError(bad)
 
 
-def _satisfies_literals(sys: TransitionSystem, state, literals) -> bool:
-    # _check_atoms has vetted every atom, so no edge re-validates one.
-    return all(sys.value_of(state, atom) != negated for atom, negated in literals)
-
-
 def _printable(sys: TransitionSystem, state) -> tuple:
     return tuple(value for _, value in sys.state_items(state))
 
@@ -166,6 +168,23 @@ def check(
     _check_atoms(sys, prop)
     auto = automaton_for_negation(prop)
 
+    # Literal tests on bitmasks (see the module docstring); the masks and
+    # the (pos, care) pairs must number the atoms alike.
+    atoms = sorted(ltl.atoms(prop))
+    bits = {atom: 1 << i for i, atom in enumerate(atoms)}
+    mask_of = sys.atom_mask(atoms)
+    masks: dict[int, int] = {}
+    labels: dict[int, tuple[int, int]] = {}
+
+    def label_of(q: int) -> tuple[int, int]:
+        pos = care = 0
+        for atom, negated in auto.literals(q):
+            care |= bits[atom]
+            if not negated:
+                pos |= bits[atom]
+        labels[q] = pos, care
+        return pos, care
+
     # Reachable product graph, breadth first for shortest prefixes. Product
     # node i is (states[i], qs[i]); i is its BFS discovery position, so each
     # BFS level is a contiguous run of ids.
@@ -173,8 +192,10 @@ def check(
     states: list = []
     qs: list[int] = []
     parent: list[int | None] = []
+    mask = masks[sys.initial] = mask_of(sys.initial)
     for q in auto.initial:
-        if _satisfies_literals(sys, sys.initial, auto.literals(q)):
+        pos, care = labels.get(q) or label_of(q)
+        if mask & care == pos:
             ids[(sys.initial, q)] = len(states)
             states.append(sys.initial)
             qs.append(q)
@@ -187,8 +208,12 @@ def check(
         for node in range(level, level_end):
             succs = []
             for next_state in sys.successors(states[node]):
+                mask = masks.get(next_state)
+                if mask is None:
+                    mask = masks[next_state] = mask_of(next_state)
                 for q2 in auto.successors(qs[node]):
-                    if _satisfies_literals(sys, next_state, auto.literals(q2)):
+                    pos, care = labels.get(q2) or label_of(q2)
+                    if mask & care == pos:
                         succ = ids.setdefault((next_state, q2), len(states))
                         if succ == len(states):
                             states.append(next_state)

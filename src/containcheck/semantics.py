@@ -47,6 +47,8 @@ from .smv import (
     SmvModule,
     VarTrue,
     ValueExpr,
+    render_cond,
+    render_value,
 )
 
 State = int  # position in the system's table of value tuples
@@ -96,7 +98,8 @@ class TransitionSystem:
         for col, assign in enumerate(assigns):
             reads: set[int] = set()
             arms = tuple(
-                (self._test(cond, reads),) + self._arm_value(assign.var, value)
+                (self._test(cond, reads, (assign.var, cond, value)),)
+                + self._arm_value(assign.var, value)
                 for cond, value in assign.cases
             )
             arms_by_column.append(arms)
@@ -116,10 +119,18 @@ class TransitionSystem:
         # One entry per state whose successors were computed; bench/tracer.py counts them.
         self._successor_cache: dict[State, tuple[State, ...]] = {}
 
-    def _test(self, cond: CondExpr, reads: set[int]):
+    def _test(self, cond: CondExpr, reads: set[int], arm: tuple):
         """The condition as a predicate over a value tuple; adds the
-        columns it reads to `reads`."""
+        columns it reads to `reads`. `arm` is the (variable, condition,
+        value) arm the condition belongs to, for the error a scalar read
+        as a boolean raises."""
         if isinstance(cond, VarTrue):
+            if cond.name in self._scalars:
+                var, whole, value = arm
+                raise ValueError(
+                    f"scalar {cond.name!r} is read as a boolean in the arm "
+                    f"'{render_cond(whole)} : {render_value(value)}' of next({var})"
+                )
             col = self._index[cond.name]
             reads.add(col)
             return itemgetter(col)
@@ -134,7 +145,7 @@ class TransitionSystem:
         if isinstance(cond, ConstTrue):
             return lambda values: True
         if isinstance(cond, (AndCond, OrCond)):
-            tests = tuple(self._test(part, reads) for part in cond.parts)
+            tests = tuple(self._test(part, reads, arm) for part in cond.parts)
             fold = all if isinstance(cond, AndCond) else any
             return lambda values: fold(test(values) for test in tests)
         raise TypeError(f"unevaluable condition {cond!r}")
@@ -188,6 +199,14 @@ class TransitionSystem:
         bit i is its value in states[i]."""
         column = self._atom_column(atom)
         return truth_bits([self._values[s][column] for s in states])
+
+    def atom_mask(self, atoms):
+        """The function that gives a state's true atoms as an int whose
+        bit i is the value of atoms[i] in that state."""
+        columns = [self._atom_column(atom) for atom in atoms]
+        weights = [1 << i for i in range(len(atoms))]
+        values = self._values
+        return lambda state: sum(compress(weights, map(values[state].__getitem__, columns)))
 
     def value_of(self, state: State, name: str):
         return self._values[state][self._index[name]]

@@ -258,6 +258,102 @@ class TestCheckSmall:
             Verdict(parse_ltl("G a"), holds=False, counterexample=None)
 
 
+# --- product graph ---------------------------------------------------------
+# check tests each product edge on bitmasks. The reference below is the
+# per-edge test it replaced, each literal read through value_of; both
+# must hand _find_fair_scc the same qs and adjacency.
+
+
+def reference_product(sys, prop):
+    """(qs, adjacency) of the product, built breadth first with product
+    nodes numbered in discovery order."""
+    auto = automaton_for_negation(prop)
+
+    def satisfies(state, q):
+        return all(sys.value_of(state, atom) != negated for atom, negated in auto.literals(q))
+
+    ids: dict = {}
+    states, qs = [], []
+    for q in auto.initial:
+        if satisfies(sys.initial, q):
+            ids[sys.initial, q] = len(states)
+            states.append(sys.initial)
+            qs.append(q)
+    adjacency = {}
+    node = 0
+    while node < len(states):  # ids in order are breadth first
+        succs = []
+        for next_state in sys.successors(states[node]):
+            for q2 in auto.successors(qs[node]):
+                if satisfies(next_state, q2):
+                    succ = ids.setdefault((next_state, q2), len(states))
+                    if succ == len(states):
+                        states.append(next_state)
+                        qs.append(q2)
+                    succs.append(succ)
+        adjacency[node] = tuple(succs)
+        node += 1
+    return qs, adjacency
+
+
+@pytest.fixture()
+def searched(monkeypatch):
+    """The (qs, adjacency) of each product check passes to _find_fair_scc."""
+    from containcheck import checker
+
+    out = []
+    search = checker._find_fair_scc
+
+    def recorded(adjacency, qs, auto):
+        out.append((list(qs), dict(adjacency)))
+        return search(adjacency, qs, auto)
+
+    monkeypatch.setattr(checker, "_find_fair_scc", recorded)
+    return out
+
+
+def assert_products_match(sys, formulas, searched) -> list[Verdict]:
+    verdicts = []
+    for formula in formulas:
+        searched.clear()
+        verdicts.append(check(sys, formula))
+        assert searched == [reference_product(sys, formula)], render_formula(formula)
+    return verdicts
+
+
+class TestProductGraph:
+    def test_fixtures(self, searched):
+        for high, low in ((HIGH, LOW_UNSAT), (HIGH, LOW_SAT), (FULFILMENT_HIGH, FULFILMENT_LOW)):
+            sys = build_system(generate_smv(load_model(str(low))))
+            formulas = [p.formula for p in generate_properties(load_model(str(high)))]
+            assert_products_match(sys, formulas, searched)
+
+    @pytest.mark.parametrize(
+        "model",
+        [fork_of_decisions_model(3), decision_model(5), fork_model(4)],
+        ids=lambda model: model.name,
+    )
+    def test_families(self, model, searched):
+        sys = build_system(generate_smv(model))
+        atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+        rng = random.Random(len(atoms))
+        formulas = [p.formula for p in generate_properties(model)]
+        formulas += [random_formula(rng, atoms, 4) for _ in range(10)]
+        assert_products_match(sys, formulas, searched)
+
+    def test_random_models(self, searched):
+        rng = random.Random(2110)
+        violated = 0
+        for seed in range(200):
+            model = random_valid_model(seed)
+            sys = build_system(generate_smv(model))
+            atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+            formulas = [random_formula(rng, atoms, 3) for _ in range(3)]
+            verdicts = assert_products_match(sys, formulas, searched)
+            violated += sum(not v.holds for v in verdicts)
+        assert violated >= 100
+
+
 class TestEvaluateOnLasso:
     # One pulse of a then forever b; hand-derived expectations.
     PREFIX = [{"a": True, "b": False}]

@@ -378,6 +378,24 @@ esac;
 """
 
 
+SCALAR_READ_AS_BOOLEAN = """\
+MODULE main
+VAR
+    b : boolean;
+    d : {undetermined, left};
+ASSIGN
+init(b) := FALSE;
+next(b) := case
+    d : TRUE;
+    TRUE : b;
+esac;
+init(d) := undetermined;
+next(d) := case
+    TRUE : d;
+esac;
+"""
+
+
 def copying_module() -> SmvModule:
     """`a` blinks, and `b` copies it through a last arm that keeps `a`;
     `b` reads no variable at all."""
@@ -467,6 +485,14 @@ class TestCompiledSuccessors:
         (after_go,) = sys.successors(sys.initial)
         with pytest.raises(ValueError, match=message):
             sys.successors(after_go)
+
+    def test_scalar_read_as_a_boolean_is_refused(self):
+        # A bare scalar has no truth value (NuSMV rejects the module), so
+        # no reading of `d : TRUE` is right: the system is not built.
+        module = parse_smv(SCALAR_READ_AS_BOOLEAN)
+        message = r"scalar 'd' is read as a boolean in the arm 'd : TRUE' of next\(b\)"
+        with pytest.raises(ValueError, match=message):
+            build_system(module)
 
     def test_no_matching_arm_raises_when_met(self):
         module = parse_smv(FALSE_DEFAULT.replace("    TRUE : FALSE;\n", ""))
