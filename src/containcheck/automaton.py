@@ -7,9 +7,10 @@ FALSE, xor and implication expand into and/or. The pass writes the normal
 form straight into a table of ints, one entry per distinct subformula,
 with no intermediate formula objects. Tableau nodes split disjunctions and
 unwind U/R one step at a time; fully expanded nodes with identical
-obligations merge. The result is a state-labeled automaton: entering a
-state requires its literals to hold, and one acceptance set per U-formula
-keeps postponed eventualities honest.
+obligations merge. The result is a state-labeled automaton over states
+0..n-1: entering a state requires its literals, held as masks over the
+formula's atoms, and one acceptance set per U-formula keeps postponed
+eventualities honest.
 
 Cost tracks the automaton, not the formula's printed size:
 - the pass translates each (subformula object, polarity) once, so an xor
@@ -33,19 +34,25 @@ from bisect import bisect_left
 from functools import cache
 
 from . import ltl
-from .record import Record, setfield
 
 
 # --- translation ---------------------------------------------------------
 
 # The tableau seeds each successor with its next obligations in one fixed
 # order, and state ids, so every counterexample, depend on it: by kind
-# code, then by the ranks of the operands, left first; a literal by
-# repr(atom), then by negated (see `_Interned.repr_ranks`). The kind codes
-# follow the alphabetical order of the kinds' names; reordering them
-# would renumber every automaton.
+# code, then by the ranks of the operands, left first; a literal by its
+# atom in `atom_order`, then by negated (see `_Interned.repr_ranks`). The
+# kind codes follow the alphabetical order of the kinds' names; reordering
+# them would renumber every automaton.
 _AND, _FALSE, _LIT, _NEXT, _OR, _RELEASE, _TRUE, _UNTIL = range(8)
 _BINARY = (_AND, _OR, _RELEASE, _UNTIL)
+
+
+def atom_order(atoms) -> list[str]:
+    """The atoms as the tableau ranks them: by repr. State labels number
+    atoms in this order, and formulas whose atoms rank alike have equal
+    automata."""
+    return sorted(atoms, key=repr)
 
 
 def _rule(f: ltl.Formula, negate: bool) -> tuple[tuple, object]:
@@ -89,7 +96,8 @@ class _Interned:
 
     For subformula i: kind[i] is its kind code; left[i]/right[i] are the
     ids of its operands (X keeps its operand in left), -1 if absent;
-    literal[i] is (atom, negated) for literals.
+    literal[i] is (atom, negated) for literals. `atoms` are the atoms in
+    `atom_order`.
     """
 
     def __init__(self, formula: ltl.Formula):
@@ -140,17 +148,20 @@ class _Interned:
             i: ids.get((_LIT, atom, not negated), -1)
             for i, (atom, negated) in self.literal.items()
         }
+        self.atoms = tuple(atom_order({atom for atom, _ in self.literal.values()}))
 
     def repr_ranks(self) -> list[int]:
         """rank[i] < rank[j] exactly when the repr of subformula i sorts
         before that of j, computed without building a repr.
 
         Reprs are prefix-free, so two of the same kind compare as their
-        operands do, left first, and a literal by repr(atom), then
-        negated. Subformulas are placed one height at a time: the operands
-        of every key compared at height h are already ranked, below h.
+        operands do, left first, and a literal by its atom's place in
+        `atoms`, then negated. Subformulas are placed one height at a
+        time: the operands of every key compared at height h are already
+        ranked, below h.
         """
         kind, left, right, literal = self.kind, self.left, self.right, self.literal
+        atom_rank = {atom: i for i, atom in enumerate(self.atoms)}
         height = [0] * len(kind)
         for i, k in enumerate(kind):
             if k in _BINARY:
@@ -167,7 +178,7 @@ class _Interned:
             k = kind[i]
             if k == _LIT:
                 atom, negated = literal[i]
-                return (k, repr(atom), negated)
+                return (k, atom_rank[atom], negated)
             if k == _NEXT:
                 return (k, rank[left[i]])
             if k in _BINARY:
@@ -211,39 +222,31 @@ class _Interned:
 
 # --- tableau construction ------------------------------------------------
 
-class BuchiState(Record):
-    __slots__ = ("id", "literals")
-
-    def __init__(self, id: int, literals: tuple[tuple[str, bool], ...]) -> None:
-        setfield(self, "id", id)
-        setfield(self, "literals", literals)  # (atom, negated), sorted
-
-
 class BuchiAutomaton:
-    """State-labeled generalized Buchi automaton.
+    """State-labeled generalized Buchi automaton over states 0..n-1.
 
-    A run q0 q1 ... matches a word x0 x1 ... when every xi satisfies the
-    literals of qi; it accepts when it visits each acceptance set
+    states[q] is q's label, a (pos, care) pair of masks over `atoms`
+    (bit i for atoms[i]): care holds the atoms q's literals name, pos
+    those they want true. A letter, the mask of its true atoms, satisfies
+    q when mask & care == pos. transitions[q] lists q's successors in
+    increasing order. A run q0 q1 ... matches a word x0 x1 ... when every
+    xi satisfies qi; it accepts when it visits each acceptance set
     infinitely often (no sets means every infinite run accepts).
     """
 
     def __init__(
         self,
-        states: list[BuchiState],
+        atoms: tuple[str, ...],
+        states: list[tuple[int, int]],
         initial: list[int],
-        transitions: dict[int, tuple[int, ...]],
+        transitions: list[tuple[int, ...]],
         acceptance: list[frozenset[int]],
     ):
-        self.states = {s.id: s for s in states}
+        self.atoms = atoms
+        self.states = states
         self.initial = tuple(initial)
         self.transitions = transitions
         self.acceptance = acceptance
-
-    def successors(self, state_id: int) -> tuple[int, ...]:
-        return self.transitions.get(state_id, ())
-
-    def literals(self, state_id: int) -> tuple[tuple[str, bool], ...]:
-        return self.states[state_id].literals
 
 
 def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
@@ -269,6 +272,9 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
     then the counter at each of its splits replayed so far. Once a Next
     set has been replayed to its end, every leaf of it has an id, so a
     later replay of it would only add 2 per split.
+
+    States are numbered 0..n-1 in the order of their walk ids, and each
+    distinct set of literals is turned into a label once.
     """
     table = _Interned(ltl.Not(formula))
     kind, left, right = table.kind, table.left, table.right
@@ -359,8 +365,8 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
         return seed, iter(leaves), [node_id], splits
 
     root = 1 << table.root
-    ids: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, tuple[int, int]]] = []  # in creation order
+    ids: dict[tuple[int, int], int] = {}  # (old, next) -> walk id
+    nodes: list[tuple[int, int]] = []  # keys in creation order
     replayed: set[int] = set()
     counter = 1
     stack = [frame(root, counter)]
@@ -372,8 +378,8 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
                 counter += 2
             if key in ids:
                 continue
-            node_id = ids[key] = at[split] + half
-            nodes.append((node_id, key))
+            ids[key] = at[split] + half
+            nodes.append(key)
             counter += 1
             if key[1] not in replayed:
                 stack.append(frame(key[1], counter))
@@ -384,26 +390,30 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
             replayed.add(seed)
             counter += 2 * (splits + 1 - len(at))
 
+    keys = sorted(ids, key=ids.__getitem__)
+    ids = {key: q for q, key in enumerate(keys)}
+    bits = {atom: 1 << i for i, atom in enumerate(table.atoms)}
     literal_mask = sum(1 << f for f in table.literal)
-    labels: dict[int, tuple[tuple[str, bool], ...]] = {}
+    labels: dict[int, tuple[int, int]] = {}  # literal set -> (pos, care)
     successors: dict[int, tuple[int, ...]] = {}
-    states, transitions = [], {}
-    for node_id, (old, nxt) in nodes:
+    states, transitions = [], []
+    for old, nxt in keys:
         lits = old & literal_mask
         if lits not in labels:
-            labels[lits] = tuple(sorted(lit for f, lit in table.literal.items() if lits >> f & 1))
-        states.append(BuchiState(node_id, labels[lits]))
+            named = [table.literal[f] for f in table.literal if lits >> f & 1]
+            pos = sum(bits[atom] for atom, negated in named if not negated)
+            care = sum(bits[atom] for atom, _ in named)
+            labels[lits] = pos, care
+        states.append(labels[lits])
         if nxt not in successors:
             successors[nxt] = tuple(sorted({ids[leaf[0]] for leaf in expand(nxt)[0]}))
-        transitions[node_id] = successors[nxt]
+        transitions.append(successors[nxt])
     roots = {leaf[0] for leaf in expand(root)[0]}
-    initial = [node_id for node_id, key in nodes if key in roots]
+    initial = [ids[key] for key in nodes if key in roots]
     acceptance = [
         frozenset(
-            node_id
-            for node_id, (old, _) in nodes
-            if not old >> until & 1 or old >> right[until] & 1
+            q for q, (old, _) in enumerate(keys) if not old >> until & 1 or old >> right[until] & 1
         )
         for until in table.until_subformulas()
     ]
-    return BuchiAutomaton(states, initial, transitions, acceptance)
+    return BuchiAutomaton(table.atoms, states, initial, transitions, acceptance)

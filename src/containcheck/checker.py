@@ -12,12 +12,11 @@ comes first, ending at that member; the loop starts there and visits the
 acceptance sets in order, each by a shortest path inside the SCC, before
 a shortest path back closes it.
 
-A product edge is tested on bitmasks, bit i for the property's i-th atom
-in sorted order: a system state's mask holds its true atoms, and an
-automaton state's (pos, care) pair holds the atoms its literals want
-true and every atom they name. The edge into a state is taken when
-mask & care == pos. Each mask and pair is built when the product first
-reaches its state.
+A product edge is tested on bitmasks over the automaton's `atoms`: a
+system state's mask holds its true atoms, built when the product first
+reaches the state, and the automaton labels each of its states with a
+(pos, care) pair, the atoms its literals want true and every atom they
+name. The edge into a state is taken when mask & care == pos.
 
 check_all() builds a product only where one can change the answer. A
 system whose walk from the initial state meets only states with exactly
@@ -47,7 +46,7 @@ from __future__ import annotations
 import json
 
 from . import ltl
-from .automaton import BuchiAutomaton, automaton_for_negation
+from .automaton import BuchiAutomaton, atom_order, automaton_for_negation
 from .record import Record, setfield
 from .semantics import (
     DEFAULT_STATE_CAP,
@@ -167,23 +166,9 @@ def check(
     """
     _check_atoms(sys, prop)
     auto = automaton_for_negation(prop)
-
-    # Literal tests on bitmasks (see the module docstring); the masks and
-    # the (pos, care) pairs must number the atoms alike.
-    atoms = sorted(ltl.atoms(prop))
-    bits = {atom: 1 << i for i, atom in enumerate(atoms)}
-    mask_of = sys.atom_mask(atoms)
+    labels, transitions = auto.states, auto.transitions
+    mask_of = sys.atom_mask(auto.atoms)
     masks: dict[int, int] = {}
-    labels: dict[int, tuple[int, int]] = {}
-
-    def label_of(q: int) -> tuple[int, int]:
-        pos = care = 0
-        for atom, negated in auto.literals(q):
-            care |= bits[atom]
-            if not negated:
-                pos |= bits[atom]
-        labels[q] = pos, care
-        return pos, care
 
     # Reachable product graph, breadth first for shortest prefixes. Product
     # node i is (states[i], qs[i]); i is its BFS discovery position, so each
@@ -194,7 +179,7 @@ def check(
     parent: list[int | None] = []
     mask = masks[sys.initial] = mask_of(sys.initial)
     for q in auto.initial:
-        pos, care = labels.get(q) or label_of(q)
+        pos, care = labels[q]
         if mask & care == pos:
             ids[(sys.initial, q)] = len(states)
             states.append(sys.initial)
@@ -211,8 +196,8 @@ def check(
                 mask = masks.get(next_state)
                 if mask is None:
                     mask = masks[next_state] = mask_of(next_state)
-                for q2 in auto.successors(qs[node]):
-                    pos, care = labels.get(q2) or label_of(q2)
+                for q2 in transitions[qs[node]]:
+                    pos, care = labels[q2]
                     if mask & care == pos:
                         succ = ids.setdefault((next_state, q2), len(states))
                         if succ == len(states):
@@ -384,11 +369,11 @@ def _single_run(sys: TransitionSystem, cap: int) -> tuple[int, list] | None:
 
 def _shape(formula: ltl.Formula) -> tuple:
     """The formula in prefix order, each operator as its class and each
-    atom as its rank among the formula's atoms in repr order. The tableau
-    orders literals by repr(atom) and its structure by the formula's, so
-    formulas of one shape have automata equal up to renaming atoms."""
+    atom as its rank in the tableau's `atom_order`. The tableau orders
+    literals by that rank and its structure by the formula's, so formulas
+    of one shape have equal automata."""
     items = ltl.preorder(formula)
-    names = sorted({item for item in items if isinstance(item, str)}, key=repr)
+    names = atom_order({item for item in items if isinstance(item, str)})
     rank = {name: i for i, name in enumerate(names)}
     return tuple(rank[item] if isinstance(item, str) else item for item in items)
 

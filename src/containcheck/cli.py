@@ -183,9 +183,8 @@ def cmd_check(args) -> int:
     low = ingest.load_model(args.low)
     properties = ltl.generate_properties(high, join_mode=args.join_mode)
     module = smv.generate_smv(low)
-    # Surfaces the atom mismatch before any engine runs, and doubles as the
-    # external engine's input.
-    bundle = smv.bundle_check_file(module, properties)
+    # Surfaces an atom mismatch before any engine runs.
+    smv.check_atoms(module, properties)
 
     internal_verdicts = None
     if args.engine in ("internal", "both"):
@@ -210,6 +209,7 @@ def cmd_check(args) -> int:
         from . import nusmv
 
         try:
+            bundle = smv.bundle_check_file(module, properties)
             raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
             external_verdicts = nusmv.parse_output(raw)
         except (nusmv.ToolNotFound, nusmv.ToolRunError, nusmv.OutputParseError) as exc:

@@ -291,11 +291,8 @@ def render_smv(module: SmvModule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bundle_check_file(module: SmvModule, high_properties) -> str:
-    """Single .smv text combining the low-level model's compiled module
-    (from generate_smv; its own specs are replaced) with the high-level
-    LTLSPEC lines; raises AtomMismatchError when a property atom names no
-    boolean variable of the module."""
+def check_atoms(module: SmvModule, high_properties) -> None:
+    """Raise AtomMismatchError if a property atom names no boolean variable."""
     booleans = module.boolean_vars
     missing: list[str] = []
     for prop in high_properties:
@@ -305,8 +302,14 @@ def bundle_check_file(module: SmvModule, high_properties) -> str:
                 missing.append(atom)
     if missing:
         raise AtomMismatchError(missing)
+
+
+def bundle_check_file(module: SmvModule, high_properties) -> str:
+    """Single .smv text combining the low-level model's compiled module
+    (from generate_smv; its own specs are replaced) with the high-level
+    LTLSPEC lines; raises AtomMismatchError as check_atoms does."""
+    check_atoms(module, high_properties)
     spec_lines = tuple(
         line for line in ltl.render_ltlspec(high_properties).splitlines()
     )
     return render_smv(SmvModule(module.vars, module.assigns, spec_lines))
-

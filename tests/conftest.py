@@ -1,11 +1,14 @@
 """Shared fixtures: the order-processing models, their systems, a seeded
 generator of random well-formed acyclic models for the property-based
 suites, decision-free cyclic models drawn from random digraphs,
-chain/fork/decision model families, and random formulas."""
+chain/fork/decision model families, random formulas, and the benchmark's
+modules."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +27,8 @@ from containcheck.model import (
 from containcheck.semantics import build_system
 from containcheck.smv import generate_smv
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
 HIGH = FIXTURES / "order_processing_high.behavior"
@@ -279,3 +283,16 @@ def lasso_violates(formula, lasso) -> bool:
         return row[index[name]] == "TRUE"
 
     return evaluate_on_lasso(formula, lasso.prefix, lasso.loop, atom_value) is False
+
+
+def load_bench(name: str):
+    """bench/<name>.py as a module, leaving no bytecode cache under bench/."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module

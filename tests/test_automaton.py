@@ -1,21 +1,25 @@
 """Tableau construction: every automaton field against two reference
 copies, the straightforward recursive construction and the iterative one
-that expands every pending node anew, plus size and depth."""
+that expands every pending node anew, plus size, depth, and equal
+automata for formulas of one shape."""
 
 from __future__ import annotations
 
 import random
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 
 from conftest import (
     HIGH,
     LOW_SAT,
+    ROOT,
     decision_model,
     fork_model,
     fork_of_decisions_model,
+    load_bench,
     random_formula,
 )
 from containcheck import ltl
@@ -28,10 +32,10 @@ from containcheck.automaton import (
     _TRUE,
     _UNTIL,
     BuchiAutomaton,
-    BuchiState,
     _Interned,
     automaton_for_negation,
 )
+from containcheck.checker import _shape
 from containcheck.ingest import load_model
 
 # --- reference construction ----------------------------------------------
@@ -155,6 +159,29 @@ def _reference_untils(formula: NnfFormula) -> list[NUntil]:
 _INIT = -1
 
 
+class Reference(NamedTuple):
+    """A reference automaton under its builder's own ids. `states` maps
+    each id, in creation order, to its literals as sorted (atom, negated)
+    pairs."""
+
+    states: dict[int, tuple[tuple[str, bool], ...]]
+    initial: list[int]
+    transitions: dict[int, tuple[int, ...]]
+    acceptance: list[frozenset[int]]
+
+    def fields(self) -> tuple:
+        """Every field with the ids relabelled 0..n-1 in increasing order,
+        as automaton_for_negation numbers its states."""
+        ids = sorted(self.states)
+        dense = {node_id: q for q, node_id in enumerate(ids)}
+        return (
+            [self.states[node_id] for node_id in ids],
+            tuple(dense[node_id] for node_id in self.initial),
+            [tuple(dense[s] for s in self.transitions[node_id]) for node_id in ids],
+            [frozenset(dense[node_id] for node_id in acc) for acc in self.acceptance],
+        )
+
+
 @dataclass
 class _Node:
     id: int
@@ -164,7 +191,7 @@ class _Node:
     nxt: set[NnfFormula]
 
 
-def reference_build(formula: NnfFormula) -> BuchiAutomaton:
+def reference_build(formula: NnfFormula) -> Reference:
     counter = [0]
     nodes: list[_Node] = []
 
@@ -219,10 +246,10 @@ def reference_build(formula: NnfFormula) -> BuchiAutomaton:
 
     expand(fresh({_INIT}, [formula], set(), set()))
 
-    states = [
-        BuchiState(n.id, tuple(sorted((f.atom, f.negated) for f in n.old if isinstance(f, NLit))))
+    states = {
+        n.id: tuple(sorted((f.atom, f.negated) for f in n.old if isinstance(f, NLit)))
         for n in nodes
-    ]
+    }
     initial = [n.id for n in nodes if _INIT in n.incoming]
     transitions: dict[int, list[int]] = {n.id: [] for n in nodes}
     for node in nodes:
@@ -233,12 +260,12 @@ def reference_build(formula: NnfFormula) -> BuchiAutomaton:
         frozenset(n.id for n in nodes if until not in n.old or until.right in n.old)
         for until in _reference_untils(formula)
     ]
-    return BuchiAutomaton(
+    return Reference(
         states, initial, {k: tuple(sorted(v)) for k, v in transitions.items()}, acceptance
     )
 
 
-def iterative_reference(formula: ltl.Formula) -> BuchiAutomaton:
+def iterative_reference(formula: ltl.Formula) -> Reference:
     """The interned tableau with one explicit stack of pending nodes, each
     expanded anew, complete nodes merged through a dict and their sources
     collected as incoming sets. Fast enough for the decision template's
@@ -307,10 +334,10 @@ def iterative_reference(formula: ltl.Formula) -> BuchiAutomaton:
             counter += 1
             stack.append((counter, node_id, sorted(nxt, key=rank.__getitem__), set(), set()))
 
-    states = [
-        BuchiState(node_id, tuple(sorted(table.literal[f] for f in old if f in table.literal)))
+    states = {
+        node_id: tuple(sorted(table.literal[f] for f in old if f in table.literal))
         for node_id, _, old, _ in nodes
-    ]
+    }
     initial = [node_id for node_id, incoming, _, _ in nodes if _INIT in incoming]
     transitions: dict[int, list[int]] = {node_id: [] for node_id, _, _, _ in nodes}
     for node_id, incoming, _, _ in nodes:
@@ -323,7 +350,7 @@ def iterative_reference(formula: ltl.Formula) -> BuchiAutomaton:
         )
         for until in table.until_subformulas()
     ]
-    return BuchiAutomaton(
+    return Reference(
         states, initial, {k: tuple(sorted(v)) for k, v in transitions.items()}, acceptance
     )
 
@@ -331,24 +358,37 @@ def iterative_reference(formula: ltl.Formula) -> BuchiAutomaton:
 # --- comparison ----------------------------------------------------------
 
 
+def literals(auto: BuchiAutomaton, q: int) -> tuple[tuple[str, bool], ...]:
+    """State q's literals as sorted (atom, negated) pairs, read back from
+    its (pos, care) label."""
+    pos, care = auto.states[q]
+    return tuple(
+        sorted((atom, not pos >> i & 1) for i, atom in enumerate(auto.atoms) if care >> i & 1)
+    )
+
+
 def fields(auto: BuchiAutomaton) -> tuple:
-    """Every field, with dict order included."""
+    """Every field, comparable with Reference.fields."""
     return (
-        list(auto.states.items()),
+        [literals(auto, q) for q in range(len(auto.states))],
         auto.initial,
-        list(auto.transitions.items()),
+        auto.transitions,
         auto.acceptance,
     )
 
 
+def assert_matches(formula: ltl.Formula, expected: Reference) -> None:
+    auto = automaton_for_negation(formula)
+    assert auto.atoms == tuple(sorted(ltl.atoms(formula), key=repr))
+    assert fields(auto) == expected.fields(), ltl.render_formula(formula)
+
+
 def assert_matches_reference(formula: ltl.Formula) -> None:
-    expected = reference_build(reference_to_nnf(formula, negate=True))
-    assert fields(automaton_for_negation(formula)) == fields(expected), ltl.render_formula(formula)
+    assert_matches(formula, reference_build(reference_to_nnf(formula, negate=True)))
 
 
 def assert_matches_iterative(formula: ltl.Formula) -> None:
-    expected = iterative_reference(formula)
-    assert fields(automaton_for_negation(formula)) == fields(expected), ltl.render_formula(formula)
+    assert_matches(formula, iterative_reference(formula))
 
 
 def property_formulas(model) -> list[ltl.Formula]:
@@ -447,3 +487,56 @@ def test_formula_deeper_than_the_recursion_limit():
     auto = automaton_for_negation(ltl.Always(ltl.Implies(ltl.Atom("a"), nested)))
     # One state per pending X step, plus the initial and the accepting sink.
     assert len(auto.states) == depth + 3
+
+
+# --- one automaton per shape -----------------------------------------------
+# check_all builds one automaton per `_shape` to size the product of every
+# formula of that shape, so formulas of one shape must have equal automata.
+
+
+def assert_one_automaton_per_shape(formulas) -> dict:
+    """The formulas grouped by shape, each group's automata equal."""
+    groups: dict[tuple, list] = {}
+    for formula in formulas:
+        groups.setdefault(_shape(formula), []).append(formula)
+    for group in groups.values():
+        first = automaton_for_negation(group[0])
+        for formula in group[1:]:
+            auto = automaton_for_negation(formula)
+            assert (auto.states, auto.initial, auto.transitions, auto.acceptance) == (
+                first.states, first.initial, first.transitions, first.acceptance,
+            ), (ltl.render_formula(group[0]), ltl.render_formula(formula))
+    return groups
+
+
+def test_workload_properties_of_one_shape_share_an_automaton():
+    families = load_bench("families")
+    formulas = {
+        text: ltl.parse_ltl(text)
+        for workload in families.WORKLOADS
+        for pair in families.workload_pairs(workload, 0, ROOT)
+        for text, _ in pair.expected
+    }
+    groups = assert_one_automaton_per_shape(formulas.values())
+    assert sum(len(group) > 1 for group in groups.values()) >= 8
+
+
+def test_renamed_formulas_of_one_shape_share_an_automaton():
+    # Each formula is drawn three times from one seed: over a, b, c, d;
+    # over four other names in the same repr order, which keeps its shape;
+    # and over those names shuffled, which may not. repr order is not
+    # plain string order: repr("it's") is double-quoted, so it comes first.
+    pool = ["p0", "p1", "q7", "Z", "_x", "it's", "zz", "a9"]
+    formulas = []
+    for seed in range(300):
+        depth = 1 + seed % 7
+        rng = random.Random(f"rename {seed}")
+        renamed = sorted(rng.sample(pool, 4), key=repr)
+        shuffled = rng.sample(renamed, 4)
+        original, same, other = (
+            random_formula(random.Random(seed), atoms, depth)
+            for atoms in (["a", "b", "c", "d"], renamed, shuffled)
+        )
+        assert _shape(same) == _shape(original), ltl.render_formula(original)
+        formulas += [original, same, other]
+    assert_one_automaton_per_shape(formulas)

@@ -24,6 +24,8 @@ from conftest import (
     random_formula,
     random_valid_model,
 )
+from test_automaton import iterative_reference
+
 from containcheck import ltl
 from containcheck.checker import (
     Lasso,
@@ -231,6 +233,19 @@ class TestCheckSmall:
             check(low_unsat_system, high_properties[1].formula, cap=10)
         assert (raised.value.cap, raised.value.frontier) == (10, 6)
 
+    def test_cap_bounds_the_product_not_the_automaton(self, searched):
+        # The automaton is built whole whatever the cap: for a 6-way
+        # decision it has 2,446 states, over twice the cap, yet its product
+        # with the decision's own system has 942 states, so the check fits.
+        model = decision_model(6)
+        (decision,) = [
+            p.formula for p in generate_properties(model) if p.primitive is ltl.Primitive.DECISION
+        ]
+        sys = build_system(generate_smv(model))
+        assert check(sys, decision, cap=1000).holds
+        ((qs, _),) = searched
+        assert (len(automaton_for_negation(decision).states), len(qs)) == (2446, 942)
+
     @pytest.mark.parametrize("branches", [("P1 [deep]", "MB [shallow]"), ("MB [shallow]", "P1 [deep]")])
     def test_lasso_enters_the_fair_scc_discovered_first(self, branches):
         # Two loops that avoid both finals, so two fair SCCs: loop A three
@@ -260,21 +275,23 @@ class TestCheckSmall:
 
 # --- product graph ---------------------------------------------------------
 # check tests each product edge on bitmasks. The reference below is the
-# per-edge test it replaced, each literal read through value_of; both
-# must hand _find_fair_scc the same qs and adjacency.
+# per-edge test it replaced, each literal read through value_of, over the
+# reference tableau of test_automaton with its literals computed there;
+# both must hand _find_fair_scc the same qs and adjacency.
 
 
 def reference_product(sys, prop):
     """(qs, adjacency) of the product, built breadth first with product
-    nodes numbered in discovery order."""
-    auto = automaton_for_negation(prop)
+    nodes numbered in discovery order. The reference tableau's ids are
+    relabelled in increasing order, as check's automaton numbers them."""
+    literals, initial, transitions, _ = iterative_reference(prop).fields()
 
     def satisfies(state, q):
-        return all(sys.value_of(state, atom) != negated for atom, negated in auto.literals(q))
+        return all(sys.value_of(state, atom) != negated for atom, negated in literals[q])
 
     ids: dict = {}
     states, qs = [], []
-    for q in auto.initial:
+    for q in initial:
         if satisfies(sys.initial, q):
             ids[sys.initial, q] = len(states)
             states.append(sys.initial)
@@ -284,7 +301,7 @@ def reference_product(sys, prop):
     while node < len(states):  # ids in order are breadth first
         succs = []
         for next_state in sys.successors(states[node]):
-            for q2 in auto.successors(qs[node]):
+            for q2 in transitions[qs[node]]:
                 if satisfies(next_state, q2):
                     succ = ids.setdefault((next_state, q2), len(states))
                     if succ == len(states):

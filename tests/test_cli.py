@@ -293,10 +293,25 @@ class TestCheck:
         assert capsys.readouterr().err.encode("utf-8") == golden.read_bytes()
 
     def test_atom_mismatch_is_operational_error(self, tmp_path, capsys):
+        # Raised before any engine runs, so before the tool is looked up.
         low = tmp_path / "tiny.behavior"
         low.write_text("model T { initial InitialNode1; final Done; InitialNode1 -> Done }")
-        assert run("check", HIGH, low) == 2
-        assert "missing from the model" in capsys.readouterr().err
+        for engine in ("internal", "nusmv", "both"):
+            assert run("check", HIGH, low, "--engine", engine, "--nusmv-path", tmp_path / "none") == 2
+            assert capsys.readouterr().err == (
+                "error: atoms missing from the model: VerifyCreditCard, "
+                "CreateOrderBusinessObject, ReplyCreditCardNotOK, ActivityFinalNode1, "
+                "ChargeOrder, ShipOrder, ReplyOrderStatus, ActivityFinalNode2\n"
+            ), engine
+
+    def test_internal_engine_renders_no_bundle(self, monkeypatch, capsys):
+        def no_bundle(*args):
+            raise AssertionError("the SMV bundle is only the external engine's input")
+
+        monkeypatch.setattr("containcheck.smv.bundle_check_file", no_bundle)
+        assert run("check", HIGH, LOW_SAT, "--format", "json") == 0
+        golden = GOLDEN / "order_processing_low_sat.check.json"
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
     def test_cyclic_high_model(self, tmp_path, capsys):
         path = tmp_path / "loop.behavior"

@@ -21,6 +21,7 @@ from containcheck.smv import (
     SmvGenerationError,
     VarTrue,
     bundle_check_file,
+    check_atoms,
     generate_smv,
     render_smv,
 )
@@ -187,6 +188,17 @@ class TestBundle:
             bundle_check_file(generate_smv(tiny), generate_properties(high_model))
         assert "VerifyCreditCard" in info.value.missing
         assert "ShipOrder" in info.value.missing
+
+    def test_atom_check_is_the_bundles(self, high_model, low_sat_model):
+        tiny = generate_smv(parse_dsl("model M { initial InitialNode1; final Done; InitialNode1 -> Done }"))
+        props = generate_properties(high_model)
+        with pytest.raises(AtomMismatchError) as checked:
+            check_atoms(tiny, props)
+        with pytest.raises(AtomMismatchError) as bundled:
+            bundle_check_file(tiny, props)
+        assert str(checked.value) == str(bundled.value)
+        assert checked.value.missing == bundled.value.missing
+        assert check_atoms(generate_smv(low_sat_model), props) is None
 
     def test_decision_scalar_is_not_an_atom(self, low_unsat_model):
         with pytest.raises(AtomMismatchError):

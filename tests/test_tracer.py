@@ -4,26 +4,8 @@ when the benchmark runs."""
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
-from conftest import HIGH, LOW_UNSAT
+from conftest import HIGH, LOW_UNSAT, load_bench
 from containcheck import checker, cli, ingest, ltl, model, semantics, smv
-
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
 
 
 def test_rebound_names_exist_and_are_restored(capsys):
@@ -33,7 +15,7 @@ def test_rebound_names_exist_and_are_restored(capsys):
     }
     owners = list(cc.values()) + [semantics.TransitionSystem]
     before = {id(owner): dict(vars(owner)) for owner in owners}
-    tracer = load_tracer().Tracer(cc)
+    tracer = load_bench("tracer").Tracer(cc)
     tracer.install()
     try:
         assert tracer._patches
@@ -52,5 +34,9 @@ def test_rebound_names_exist_and_are_restored(capsys):
         "checker.product_states", "checker.product_edges", "checker.violations",
     ):
         assert tracer.counts[name] > 0, name
+    # What the tracer reads from the automata of this check: 6 properties,
+    # 32 automaton states in all, at most 16 in one.
+    automaton = {name: tracer.counts[f"automaton.{name}"] for name in ("builds", "states", "max_states")}
+    assert automaton == {"builds": 6, "states": 32, "max_states": 16}
     for owner in owners:
         assert dict(vars(owner)) == before[id(owner)], owner
