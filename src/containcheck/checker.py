@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 
-from . import ltl
+from . import ltl, smv
 from .automaton import BuchiAutomaton, atom_order, automaton_for_negation
 from .record import Record, setfield
 from .semantics import (
@@ -57,14 +57,6 @@ from .semantics import (
 )
 
 ORACLE_STATE_LIMIT = 4096
-
-
-class UnknownAtomError(Exception):
-    def __init__(self, bad_atoms: list[str]):
-        super().__init__(
-            "atoms are not boolean variables of the system: " + ", ".join(bad_atoms)
-        )
-        self.bad_atoms = bad_atoms
 
 
 class CounterexampleUnsound(Exception):
@@ -124,12 +116,6 @@ class Verdict(Record):
         setfield(self, "origin", origin)
 
 
-def _check_atoms(sys: TransitionSystem, formula: ltl.Formula) -> None:
-    bad = sorted(a for a in ltl.atoms(formula) if not sys.is_boolean_var(a))
-    if bad:
-        raise UnknownAtomError(bad)
-
-
 def _printable(sys: TransitionSystem, state) -> tuple:
     return tuple(value for _, value in sys.state_items(state))
 
@@ -164,7 +150,7 @@ def check(
 
     cap bounds the number of product states explored.
     """
-    _check_atoms(sys, prop)
+    smv.check_atoms(sys.module, [prop])
     auto = automaton_for_negation(prop)
     labels, transitions = auto.states, auto.transitions
     mask_of = sys.atom_mask(auto.atoms)
@@ -335,7 +321,7 @@ def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -
         else:
             formula, primitive, origin = prop, None, None
         if run is not None:
-            _check_atoms(sys, formula)
+            smv.check_atoms(sys.module, [formula])
             if _holds_on_lasso(formula, loop_start, len(states), column):
                 shape = _shape(formula)
                 if shape not in sizes:
@@ -471,7 +457,7 @@ def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdic
     """
     if depth < 1:
         raise OracleError("depth must be positive")
-    _check_atoms(sys, prop)
+    smv.check_atoms(sys.module, [prop])
     try:
         reachable_states(sys, cap=ORACLE_STATE_LIMIT)
     except StateCapExceeded as exc:

@@ -39,12 +39,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:
-        # Only `check` loads the engine, so its errors are matched here,
-        # once something has gone wrong.
-        from . import checker, semantics
+        # Only `check` loads the engine and the NuSMV bridge, so their
+        # errors are matched here, once something has gone wrong.
+        from . import checker, nusmv, semantics
 
         if isinstance(
-            exc, (semantics.StateCapExceeded, checker.UnknownAtomError, checker.OracleError)
+            exc,
+            (
+                semantics.StateCapExceeded,
+                checker.OracleError,
+                nusmv.ToolNotFound,
+                nusmv.ToolRunError,
+                nusmv.OutputParseError,
+            ),
         ):
             print(f"error: {exc}", file=sys.stderr)
         else:
@@ -208,13 +215,9 @@ def cmd_check(args) -> int:
         # Imported here: it loads subprocess, which no other run needs.
         from . import nusmv
 
-        try:
-            bundle = smv.bundle_check_file(module, properties)
-            raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
-            external_verdicts = nusmv.parse_output(raw)
-        except (nusmv.ToolNotFound, nusmv.ToolRunError, nusmv.OutputParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        bundle = smv.bundle_check_file(module, properties)
+        raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
+        external_verdicts = nusmv.parse_output(raw)
         if len(external_verdicts) != len(properties):
             print(
                 f"error: external checker reported {len(external_verdicts)} "

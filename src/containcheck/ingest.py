@@ -197,7 +197,7 @@ class _DslParser:
 
     def parse_node_decl(self) -> None:
         kind_tok = self.take()
-        kind = NodeKind.from_string(kind_tok.text)
+        kind = NodeKind(kind_tok.text)
         id_tok = self.expect_word("node id")
         if id_tok is None:
             return
@@ -313,7 +313,7 @@ def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[Pars
             continue
         seen_ids.add(node_id)
         try:
-            kind = NodeKind.from_string(kind_text if isinstance(kind_text, str) else "")
+            kind = NodeKind(kind_text)
         except ValueError:
             errors.append(located(f"unknown node kind {kind_text!r}", f"{where}/kind"))
             continue
@@ -376,12 +376,14 @@ def print_dsl(model: ActivityModel) -> str:
 
 
 def load_model(path: str) -> ActivityModel:
-    """Read a model from a .behavior (DSL) or .json file; raise IngestError
-    with located messages when the content is not UTF-8 text or does not
-    parse or validate."""
+    """Read a model from a .behavior (DSL) or .json file, skipping a UTF-8
+    byte-order mark; raise IngestError with located messages when the
+    content is not UTF-8 text or does not parse or validate."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            # Decoded as "utf-8" and the mark dropped after, rather than as
+            # "utf-8-sig", whose errors count offsets from past the mark.
+            text = handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # read() decodes the whole file at once, so exc.start is its offset.
         bad = exc.object[exc.start]

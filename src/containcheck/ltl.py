@@ -28,71 +28,14 @@ from .record import Record, setfield
 class Formula(Record):
     """Base class for formula nodes; all subclasses are frozen and hashable.
 
-    Equality, hashing and repr behave as for every record but walk
-    explicit stacks instead of recursing into operands, so formulas of any
-    depth compare, hash and print. A formula's hash is computed once,
-    operands first, and kept in `_hash`; it is still the hash of the
-    field tuple. Copying and pickling go through the flat preorder()
-    listing, so they work at any depth too.
+    Copying and pickling go through the flat preorder() listing, so
+    formulas of any depth copy and pickle.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __reduce__(self):
         return _from_preorder, (tuple(preorder(self)),)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            for x, y in zip(a._key(a), b._key(b)):
-                if isinstance(x, Formula):
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        stack = [self]
-        while stack:
-            f = stack[-1]
-            fields = f._key(f)
-            pending = [x for x in fields if isinstance(x, Formula) and not hasattr(x, "_hash")]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            # Every operand's hash is kept, so this hashes one level deep.
-            setfield(f, "_hash", hash(fields))
-        return self._hash
-
-    def __repr__(self) -> str:
-        pieces: list[str] = []
-        # Pending work, last first: literal text, or a formula to print.
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, Formula):
-                pieces.append(item)
-                continue
-            pieces.append(f"{item.__class__.__qualname__}(")
-            stack.append(")")
-            fields = item._fields
-            for i in range(len(fields) - 1, -1, -1):
-                value = getattr(item, fields[i])
-                stack.append(value if isinstance(value, Formula) else repr(value))
-                stack.append(f"{', ' if i else ''}{fields[i]}=")
-        return "".join(pieces)
 
 
 class Atom(Formula):

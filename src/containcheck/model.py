@@ -25,13 +25,6 @@ class NodeKind(Enum):
     DECISION = "decision"
     MERGE = "merge"
 
-    @classmethod
-    def from_string(cls, text: str) -> "NodeKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown node kind {text!r}")
-
 
 #: Kinds that only route control flow; they never appear as atoms in
 #: generated temporal properties.

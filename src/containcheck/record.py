@@ -10,11 +10,16 @@ and an explicit `__init__` builds a record as fast as a generated one.
 Records behave as frozen dataclasses do:
 - equal exactly when of the same class with equal compared fields (every
   field unless the class passes `compare=(...)`);
-- hashed as the tuple of their compared fields;
+- hashed as the tuple of their compared fields, computed once and kept in
+  the private `_hash` slot;
 - printed as `Name(field=value, ...)` over every field;
 - `AttributeError` on any assignment or deletion;
 - copied and pickled by calling the class on the fields, so every
   record's `__init__` takes its fields in order.
+
+Every record compares, hashes and prints from explicit stacks, not by
+recursing into record-valued fields, so records nested to any depth (a
+formula ten thousand operators deep, say) work too.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ setfield = object.__setattr__
 
 
 class Record:
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, compare: tuple[str, ...] | None = None, **kwargs) -> None:
@@ -50,17 +55,57 @@ class Record:
         cls._key = staticmethod(key)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            key = self._key
-            return key(self) == key(other)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for x, y in zip(a._key(a), b._key(b)):
+                if isinstance(x, Record):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        stack = [self]
+        while stack:
+            record = stack[-1]
+            fields = record._key(record)
+            pending = [x for x in fields if isinstance(x, Record) and not hasattr(x, "_hash")]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            # Every record field's hash is kept, so this hashes one level deep.
+            setfield(record, "_hash", hash(fields))
+        return self._hash
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
+        pieces: list[str] = []
+        # Pending work, last first: literal text, or a record to print.
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Record):
+                pieces.append(item)
+                continue
+            pieces.append(f"{item.__class__.__qualname__}(")
+            stack.append(")")
+            fields = item._fields
+            for i in range(len(fields) - 1, -1, -1):
+                value = getattr(item, fields[i])
+                stack.append(value if isinstance(value, Record) else repr(value))
+                stack.append(f"{', ' if i else ''}{fields[i]}=")
+        return "".join(pieces)
 
     def __reduce__(self):
         return self.__class__, tuple([getattr(self, name) for name in self._fields])

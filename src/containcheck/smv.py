@@ -164,7 +164,7 @@ class SmvAssign(Record):
 
 
 class SmvModule(Record):
-    __slots__ = ("vars", "assigns", "specs")
+    __slots__ = ("vars", "assigns", "specs", "_boolean_vars")
 
     def __init__(
         self,
@@ -175,10 +175,8 @@ class SmvModule(Record):
         setfield(self, "vars", vars)
         setfield(self, "assigns", assigns)
         setfield(self, "specs", specs)
-
-    @property
-    def boolean_vars(self) -> set[str]:
-        return {d.name for d in self.vars if d.is_boolean}
+        # Computed once for check_atoms.
+        setfield(self, "_boolean_vars", frozenset(d.name for d in vars if d.is_boolean))
 
 
 class SmvGenerationError(Exception):
@@ -292,8 +290,9 @@ def render_smv(module: SmvModule) -> str:
 
 
 def check_atoms(module: SmvModule, high_properties) -> None:
-    """Raise AtomMismatchError if a property atom names no boolean variable."""
-    booleans = module.boolean_vars
+    """Raise AtomMismatchError if a property atom names no boolean variable.
+    The one atom check: the CLI and every checker entry point call it."""
+    booleans = module._boolean_vars
     missing: list[str] = []
     for prop in high_properties:
         formula = prop.formula if isinstance(prop, ltl.GeneratedProperty) else prop

@@ -29,9 +29,9 @@ from test_automaton import iterative_reference
 from containcheck import ltl
 from containcheck.checker import (
     Lasso,
-    UnknownAtomError,
     Verdict,
     _shortest_lasso,
+    _single_run,
     check,
     check_all,
     evaluate_on_lasso,
@@ -39,11 +39,12 @@ from containcheck.checker import (
     render_report,
 )
 from containcheck.automaton import automaton_for_negation
-from containcheck.ingest import load_model, parse_dsl
+from containcheck.cli import main
+from containcheck.ingest import load_model, parse_dsl, print_dsl
 from containcheck.ltl import generate_properties, parse_ltl, render_formula
 from containcheck.model import NodeKind
 from containcheck.semantics import StateCapExceeded, build_system, reachable_states
-from containcheck.smv import generate_smv
+from containcheck.smv import AtomMismatchError, generate_smv
 
 MINIMAL = "model M { initial I; final F_node; I -> F_node }"
 TWO_LOOPS = """model L { initial I; merge M; action A; decision D; action B; action C;
@@ -217,12 +218,40 @@ class TestCheckSmall:
             assert check(sys, parse_ltl(text)).holds is expected, text
 
     def test_unknown_atom(self, low_unsat_system):
-        with pytest.raises(UnknownAtomError):
+        with pytest.raises(AtomMismatchError):
             check(low_unsat_system, parse_ltl("G Nope"))
 
     def test_decision_scalar_atom_rejected(self, low_unsat_system):
-        with pytest.raises(UnknownAtomError, match="DecisionNode1"):
+        with pytest.raises(AtomMismatchError, match="DecisionNode1"):
             check(low_unsat_system, parse_ltl("F DecisionNode1"))
+
+    def test_every_entry_point_gives_one_unknown_atom_message(self, tmp_path, capsys):
+        # Nope and Zap are in neither low model, and only G (Nope -> F Zap)
+        # names both, so the CLI's message over every property is the
+        # library's for that formula.
+        high = tmp_path / "high.behavior"
+        high.write_text(
+            "model H { initial I; action Nope; action Zap; final F_end;"
+            " I -> Nope; Nope -> Zap; Zap -> F_end }"
+        )
+        formula = parse_ltl("G (Nope -> F Zap)")
+        assert formula in [p.formula for p in generate_properties(load_model(str(high)))]
+        message = "atoms missing from the model: Nope, Zap"
+        for low, single_run in ((chain_model(1), True), (decision_model(2), False)):
+            path = tmp_path / f"{low.name}.behavior"
+            path.write_text(print_dsl(low))
+            assert main(["check", str(high), str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            sys = build_system(generate_smv(low))
+            assert (_single_run(sys, 100) is not None) is single_run
+            for run in (
+                lambda: check(sys, formula),
+                lambda: check_all(sys, [formula]),
+                lambda: oracle_check(sys, formula, 10),
+            ):
+                with pytest.raises(AtomMismatchError) as raised:
+                    run()
+                assert str(raised.value) == message
 
     def test_product_cap(self, low_unsat_system, high_properties):
         with pytest.raises(StateCapExceeded) as raised:
@@ -580,7 +609,7 @@ class TestSoundness:
 def outcome(run):
     try:
         return run()
-    except (StateCapExceeded, UnknownAtomError) as exc:
+    except (StateCapExceeded, AtomMismatchError) as exc:
         return type(exc), str(exc)
 
 
@@ -743,11 +772,11 @@ class TestSingleRun:
         sys, props = fulfilment
         holding, bad = props[0], parse_ltl("G Nowhere")
         assert check(sys, holding.formula, 12).holds
-        with pytest.raises(UnknownAtomError):
+        with pytest.raises(AtomMismatchError):
             check_all(sys, [bad, holding], cap=11)
         with pytest.raises(StateCapExceeded, match=r"cap of 11 states exceeded \(frontier size 1\)"):
             check_all(sys, [holding, bad], cap=11)
-        with pytest.raises(UnknownAtomError):
+        with pytest.raises(AtomMismatchError):
             check_all(sys, [holding, bad], cap=12)
 
     def test_the_walk_stops_at_the_cap(self):
@@ -760,7 +789,7 @@ class TestSingleRun:
 
     def test_an_unknown_atom_is_refused_on_a_single_run(self):
         sys = build_system(generate_smv(chain_model(2)))
-        with pytest.raises(UnknownAtomError, match="Nope"):
+        with pytest.raises(AtomMismatchError, match="Nope"):
             check_all(sys, [parse_ltl("G (I -> F A0)"), parse_ltl("F Nope")])
 
     def test_holding_properties_build_no_product(self, fulfilment, monkeypatch):

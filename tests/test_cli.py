@@ -101,6 +101,23 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"{path}: offset {data.index(0xE9)}: not UTF-8 text: byte 0xe9")
 
+    @pytest.mark.parametrize("model", [HIGH, LOW_UNSAT_JSON], ids=["behavior", "json"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys, model):
+        path = tmp_path / f"bom{model.suffix}"
+        path.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        assert load_model(str(path)) == load_model(str(model))
+        assert run("validate", path) == 0 and run("validate", model) == 0
+        with_mark, without = capsys.readouterr().out.splitlines()
+        assert with_mark == without
+
+    def test_bad_byte_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.behavior"
+        path.write_bytes(b"\xef\xbb\xbfab\xffc")
+        assert run("validate", path) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: offset 5: not UTF-8 text: byte 0xff (invalid start byte)\n"
+        )
+
     def test_json_errors_name_their_file(self, tmp_path, capsys):
         low = tmp_path / "low.json"
         low.write_text('{"name": "M", "nodes": 3, "edges": []}')

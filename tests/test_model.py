@@ -9,7 +9,9 @@ import pickle
 import pytest
 
 from conftest import random_digraph
-from containcheck.checker import Lasso, Verdict
+from containcheck import ltl
+from containcheck.checker import Lasso, Verdict, check_all
+from containcheck.ingest import _tokenize, parse_dsl
 from containcheck.ltl import And, Atom, GeneratedProperty, Next, Not, Or, Primitive, TrueConst
 from containcheck.model import (
     ActivityModel,
@@ -23,7 +25,8 @@ from containcheck.model import (
     validate,
 )
 from containcheck.record import Record
-from containcheck.smv import SmvModule
+from containcheck.semantics import build_system, reachable_states
+from containcheck.smv import SmvModule, generate_smv
 
 
 def model_of(nodes, edges, name="M"):
@@ -364,6 +367,49 @@ class TestRecords:
                 assert tuple(params) == cls._fields, cls
                 checked += 1
         assert checked >= 30
+
+    def test_every_record_class_keeps_the_contract(self, high_model, low_unsat_model):
+        # One instance of each record class, found in what the pipeline
+        # builds: every class __subclasses__() reaches must turn up.
+        module = generate_smv(low_unsat_model)
+        system = build_system(module)
+        properties = ltl.generate_properties(high_model)
+        seeds = [
+            low_unsat_model,
+            module,
+            reachable_states(system),
+            properties,
+            check_all(system, properties),
+            ltl.parse_ltl("G (a -> F b) & X !c | TRUE xor FALSE"),
+            validate(model_of([("A", NodeKind.ACTION)], [])),
+            parse_dsl("model M { initial I; final F; I -> }"),
+            _tokenize("model M { }", "<string>")[0],
+        ]
+        found: dict[type, Record] = {}
+        while seeds:
+            value = seeds.pop()
+            if isinstance(value, Record):
+                found.setdefault(type(value), value)
+                seeds += [getattr(value, name) for name in value._fields]
+            elif isinstance(value, (tuple, list, frozenset)):
+                seeds += value
+        leaves, stack = set(), [Record]
+        while stack:
+            cls = stack.pop()
+            stack += cls.__subclasses__()
+            if not cls.__subclasses__() and cls.__module__.startswith("containcheck."):
+                leaves.add(cls)
+        assert leaves <= set(found), leaves - set(found)
+        for cls in leaves:
+            record = found[cls]
+            for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert clone is not record and clone == record and not clone != record
+                assert hash(clone) == hash(record) == hash(record._key(record))
+            fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._fields)
+            assert repr(record) == f"{cls.__qualname__}({fields})"
+        node = found[Node]
+        renamed = Node(node.id, node.kind, node.name + "Other")
+        assert renamed == node and hash(renamed) == hash(node) and repr(renamed) != repr(node)
 
     def test_copy_and_pickle(self, high_model):
         shown = Node("x", NodeKind.ACTION, "Shown")
