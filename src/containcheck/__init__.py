@@ -27,8 +27,6 @@ from .model import (
     NodeKind,
     Violation,
     is_acyclic,
-    predecessors,
-    successors,
     validate,
 )
 from .smv import AtomMismatchError, SmvModule, bundle_check_file, generate_smv, render_smv
@@ -87,7 +85,6 @@ __all__ = [
     "parse_dsl",
     "parse_json",
     "parse_ltl",
-    "predecessors",
     "print_dsl",
     "reachable_states",
     "render_formula",
@@ -95,6 +92,5 @@ __all__ = [
     "render_report",
     "render_smv",
     "simulate",
-    "successors",
     "validate",
 ]

@@ -362,7 +362,17 @@ def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[Pars
 
 
 def print_dsl(model: ActivityModel) -> str:
-    """Render a model as canonical DSL text; reparsing yields an equal model."""
+    """Render a well-formed model as canonical DSL text; reparsing yields an
+    equal model. Raises ValueError for a model name that is not one word
+    token, and for a guard with `]`, a line break, or blanks at either end
+    (the lexer strips them): the DSL cannot write those."""
+    if not re.fullmatch(r"\w+", model.name):
+        raise ValueError(f"the DSL cannot write model name {model.name!r}: it must be one word")
+    for e in model.edges:
+        if e.guard is not None and (re.search(r"[\]\r\n]", e.guard) or e.guard != e.guard.strip()):
+            raise ValueError(
+                f"the DSL cannot write guard {e.guard!r} on {e.source} -> {e.target}"
+            )
     lines = [f"model {model.name} {{"]
     for n in model.nodes:
         lines.append(f"    {n.kind.value} {n.id};")

@@ -150,16 +150,6 @@ class Violation(Record):
         return self.message
 
 
-def successors(model: ActivityModel, node_id: str) -> list[str]:
-    """Targets of the node's outgoing edges, in edge declaration order."""
-    return [e.target for e in model.outgoing(node_id)]
-
-
-def predecessors(model: ActivityModel, node_id: str) -> list[str]:
-    """Sources of the node's incoming edges, in edge declaration order."""
-    return [e.source for e in model.incoming(node_id)]
-
-
 def validate(model: ActivityModel) -> list[Violation]:
     """Collect every invariant violation; an empty list means the model is
     well formed. Never raises on malformed graphs: violations are data.
@@ -257,26 +247,14 @@ def validate(model: ActivityModel) -> list[Violation]:
 
 
 def is_acyclic(model: ActivityModel) -> bool:
-    """True iff the directed graph has no cycle (iterative three-color DFS)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n.id: WHITE for n in model.nodes}
-    adjacency = {n.id: successors(model, n.id) for n in model.nodes}
-    for start in color:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node_id, idx = stack[-1]
-            if idx < len(adjacency[node_id]):
-                stack[-1] = (node_id, idx + 1)
-                nxt = adjacency[node_id][idx]
-                if color[nxt] == GRAY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[node_id] = BLACK
-                stack.pop()
+    """True iff the directed graph has no cycle: graphlib's topological
+    sorter, which finds cycles without recursion, over ActivityModel.outgoing."""
+    # Imported here, so that importing the package does not load graphlib.
+    from graphlib import CycleError, TopologicalSorter
+
+    graph = {n.id: [e.target for e in model.outgoing(n.id)] for n in model.nodes}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
     return True

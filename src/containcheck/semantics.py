@@ -36,6 +36,7 @@ from .model import synthetic_guard
 from .record import Record, setfield
 from .smv import (
     AndCond,
+    AtomMismatchError,
     Choice,
     CondExpr,
     ConstTrue,
@@ -82,6 +83,7 @@ class TransitionSystem:
         self.module = module
         self.var_names: tuple[str, ...] = tuple(d.name for d in module.vars)
         self._index = {name: i for i, name in enumerate(self.var_names)}
+        self._atom_columns = {name: self._index[name] for name in module._boolean_vars}
         self._scalars = {
             d.name: d.scalar_values for d in module.vars if not d.is_boolean
         }
@@ -182,14 +184,13 @@ class TransitionSystem:
             return text == "TRUE"
         raise ValueError(f"{text!r} is not a boolean value")
 
-    def is_boolean_var(self, name: str) -> bool:
-        return name in self._index and name not in self._scalars
-
     def _atom_column(self, atom: str) -> int:
-        """Atoms name boolean node variables only."""
-        if not self.is_boolean_var(atom):
-            raise ValueError(f"atom {atom!r} is not a boolean variable")
-        return self._index[atom]
+        """Atoms name the module's boolean variables only; any other name
+        is refused as smv.check_atoms refuses it."""
+        try:
+            return self._atom_columns[atom]
+        except KeyError:
+            raise AtomMismatchError([atom]) from None
 
     def atom_value(self, state: State, atom: str) -> bool:
         return self._values[state][self._atom_column(atom)]

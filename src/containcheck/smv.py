@@ -164,18 +164,12 @@ class SmvAssign(Record):
 
 
 class SmvModule(Record):
-    __slots__ = ("vars", "assigns", "specs", "_boolean_vars")
+    __slots__ = ("vars", "assigns", "_boolean_vars")
 
-    def __init__(
-        self,
-        vars: tuple[SmvVarDecl, ...],
-        assigns: tuple[SmvAssign, ...],
-        specs: tuple[str, ...] = (),
-    ) -> None:
+    def __init__(self, vars: tuple[SmvVarDecl, ...], assigns: tuple[SmvAssign, ...]) -> None:
         setfield(self, "vars", vars)
         setfield(self, "assigns", assigns)
-        setfield(self, "specs", specs)
-        # Computed once for check_atoms.
+        # The atoms: computed once, for check_atoms and the transition system.
         setfield(self, "_boolean_vars", frozenset(d.name for d in vars if d.is_boolean))
 
 
@@ -269,8 +263,9 @@ def generate_smv(model: ActivityModel) -> SmvModule:
 
 
 def render_smv(module: SmvModule) -> str:
-    """Byte-deterministic rendering: MODULE main, VAR, ASSIGN, then any
-    LTLSPEC lines. LF endings throughout."""
+    """Byte-deterministic rendering of the module alone: MODULE main, VAR,
+    ASSIGN. LF endings throughout; bundle_check_file appends the LTLSPEC
+    lines."""
     lines = ["MODULE main", "VAR"]
     for decl in module.vars:
         if decl.is_boolean:
@@ -284,14 +279,14 @@ def render_smv(module: SmvModule) -> str:
         for cond, value in assign.cases:
             lines.append(f"    {render_cond(cond)} : {render_value(value)};")
         lines.append("esac;")
-    for spec in module.specs:
-        lines.append(spec.rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
 def check_atoms(module: SmvModule, high_properties) -> None:
     """Raise AtomMismatchError if a property atom names no boolean variable.
-    The one atom check: the CLI and every checker entry point call it."""
+    The one atom rule: the CLI and every checker entry point call it, and
+    the transition system's atom readers refuse names outside the same
+    `_boolean_vars` set with the same error."""
     booleans = module._boolean_vars
     missing: list[str] = []
     for prop in high_properties:
@@ -304,11 +299,8 @@ def check_atoms(module: SmvModule, high_properties) -> None:
 
 
 def bundle_check_file(module: SmvModule, high_properties) -> str:
-    """Single .smv text combining the low-level model's compiled module
-    (from generate_smv; its own specs are replaced) with the high-level
-    LTLSPEC lines; raises AtomMismatchError as check_atoms does."""
+    """The NuSMV check file: the low-level model's rendered module followed
+    by the high-level model's LTLSPEC lines (ltl.render_ltlspec); raises
+    AtomMismatchError as check_atoms does."""
     check_atoms(module, high_properties)
-    spec_lines = tuple(
-        line for line in ltl.render_ltlspec(high_properties).splitlines()
-    )
-    return render_smv(SmvModule(module.vars, module.assigns, spec_lines))
+    return render_smv(module) + ltl.render_ltlspec(high_properties)

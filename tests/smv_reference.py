@@ -1,8 +1,8 @@
 """Test references for the SMV layer: a reader for the generator's own
-output, so tests can pin `render_smv` as lossless, and an evaluator of
-case-arm conditions and of successors over a state's printed values, so
-pulse-invariant and successor tests do not check the transition system
-against itself.
+output, so tests can pin `render_smv` and `bundle_check_file` as
+lossless, and an evaluator of case-arm conditions and of successors over
+a state's printed values, so pulse-invariant and successor tests do not
+check the transition system against itself.
 
 None of them is a general SMV front end; the runtime only generates and
 renders SMV.
@@ -83,8 +83,9 @@ def reference_successors(module: SmvModule, items: dict[str, str]) -> list[dict[
     return [dict(zip(names, values)) for values in product(*per_var)]
 
 
-def parse_smv(text: str) -> SmvModule:
-    """Read text that `render_smv` produced back into its module."""
+def parse_smv(text: str) -> tuple[SmvModule, tuple[str, ...]]:
+    """Read text that `render_smv` or `bundle_check_file` produced back into
+    its module and the LTLSPEC lines that follow it."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     pos = 0
 
@@ -148,7 +149,7 @@ def parse_smv(text: str) -> SmvModule:
             pos += 1
         pos += 1
         assigns.append(SmvAssign(var, init_value, tuple(cases)))
-    return SmvModule(tuple(var_decls), tuple(assigns), tuple(specs))
+    return SmvModule(tuple(var_decls), tuple(assigns)), tuple(specs)
 
 
 def _parse_value(text: str, var: str) -> ValueExpr:

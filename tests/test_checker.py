@@ -381,7 +381,7 @@ class TestProductGraph:
     )
     def test_families(self, model, searched):
         sys = build_system(generate_smv(model))
-        atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+        atoms = [d.name for d in sys.module.vars if d.is_boolean]
         rng = random.Random(len(atoms))
         formulas = [p.formula for p in generate_properties(model)]
         formulas += [random_formula(rng, atoms, 4) for _ in range(10)]
@@ -393,7 +393,7 @@ class TestProductGraph:
         for seed in range(200):
             model = random_valid_model(seed)
             sys = build_system(generate_smv(model))
-            atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+            atoms = [d.name for d in sys.module.vars if d.is_boolean]
             formulas = [random_formula(rng, atoms, 3) for _ in range(3)]
             verdicts = assert_products_match(sys, formulas, searched)
             violated += sum(not v.holds for v in verdicts)
@@ -503,7 +503,7 @@ class TestOracle:
         for seed in range(80):
             rng = random.Random(seed * 7919)
             sys = build_system(generate_smv(random_valid_model(seed)))
-            atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+            atoms = [d.name for d in sys.module.vars if d.is_boolean]
             depth = len(reachable_states(sys).states) + 2
             for _ in range(3):
                 formula = random_formula(rng, atoms, rng.randint(1, 4))
@@ -532,7 +532,7 @@ class TestOracle:
         rng = random.Random(4051)
         loops = []
         for sys in systems:
-            atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+            atoms = [d.name for d in sys.module.vars if d.is_boolean]
             reach = len(reachable_states(sys).states)
             for _ in range(8):
                 formula = random_formula(rng, atoms, rng.randint(1, 4))
@@ -829,7 +829,7 @@ def numbering_cases():
     model = fork_of_decisions_model(3)
     module = generate_smv(model)
     sys = build_system(module)
-    atoms = [n for n in sys.var_names if sys.is_boolean_var(n)]
+    atoms = [d.name for d in sys.module.vars if d.is_boolean]
     rng = random.Random(2024)
     formulas = [p.formula for p in generate_properties(model)]
     formulas += [random_formula(rng, atoms, 4) for _ in range(25)]

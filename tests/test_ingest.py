@@ -230,6 +230,56 @@ class TestPrintDsl:
         assert ok(parse_dsl(print_dsl(model))) == model
 
 
+def json_model(name="M", guard=None):
+    """A valid JSON model with one decision, whose first branch carries
+    `guard` when one is given."""
+    branches = [{"source": "D", "target": "A"}, {"source": "D", "target": "F"}]
+    if guard is not None:
+        branches[0]["guard"] = guard
+        branches[1]["guard"] = "other"
+    doc = {
+        "name": name,
+        "nodes": [
+            {"id": "I", "kind": "initial"},
+            {"id": "D", "kind": "decision"},
+            {"id": "A", "kind": "action"},
+            {"id": "F", "kind": "final"},
+        ],
+        "edges": [{"source": "I", "target": "D"}, *branches, {"source": "A", "target": "F"}],
+    }
+    return ok(parse_json(json.dumps(doc)))
+
+
+class TestPrintDslRefuses:
+    """JSON models whose model name or guard the DSL cannot write: print_dsl
+    names the value instead of printing text that does not reparse to an
+    equal model."""
+
+    def test_json_model_round_trips(self):
+        model = json_model("Model_2", guard="card ok")
+        assert ok(parse_dsl(print_dsl(model))) == model
+
+    def test_empty_model_name(self):
+        with pytest.raises(ValueError, match="model name ''"):
+            print_dsl(json_model(""))
+
+    def test_model_name_with_a_blank(self):
+        with pytest.raises(ValueError, match="model name 'My Model'"):
+            print_dsl(json_model("My Model"))
+
+    def test_guard_with_a_closing_bracket(self):
+        with pytest.raises(ValueError, match=r"guard 'x\]' on D -> A"):
+            print_dsl(json_model(guard="x]"))
+
+    def test_guard_with_a_line_break(self):
+        with pytest.raises(ValueError, match=r"guard 'a\\nb' on D -> A"):
+            print_dsl(json_model(guard="a\nb"))
+
+    def test_guard_with_outer_blanks(self):
+        with pytest.raises(ValueError, match="guard ' ok ' on D -> A"):
+            print_dsl(json_model(guard=" ok "))
+
+
 class TestLoadModel:
     def test_load_behavior(self):
         assert load_model(str(LOW_UNSAT)).name == "OrderProcessingLowUnsat"

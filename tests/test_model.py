@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import inspect
 import pickle
+import sys
 
 import pytest
 
@@ -19,8 +20,6 @@ from containcheck.model import (
     Node,
     NodeKind,
     is_acyclic,
-    predecessors,
-    successors,
     synthetic_guard,
     validate,
 )
@@ -210,10 +209,33 @@ class TestAcyclicity:
         model = model_of([("A", NodeKind.ACTION)], [("A", "A")])
         assert not is_acyclic(model)
 
+    def test_cycle_through_a_merge(self):
+        model = model_of(
+            [
+                ("I", NodeKind.INITIAL),
+                ("M", NodeKind.MERGE),
+                ("A", NodeKind.ACTION),
+                ("D", NodeKind.DECISION),
+                ("F_node", NodeKind.FINAL),
+            ],
+            [("I", "M"), ("M", "A"), ("A", "D"), ("D", "M", "again"), ("D", "F_node", "done")],
+        )
+        assert validate(model) == []
+        assert not is_acyclic(model)
+
+    @pytest.mark.parametrize("back_edge", [False, True])
+    def test_long_chain_under_the_default_recursion_limit(self, back_edge):
+        n = 20_000
+        assert sys.getrecursionlimit() < n  # a recursive walk of the chain would fail
+        ids = [f"A{i}" for i in range(n)]
+        edges = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if back_edge else [])
+        model = model_of([(i, NodeKind.ACTION) for i in ids], edges)
+        assert is_acyclic(model) is not back_edge
+
     def test_agrees_with_reachability_oracle(self):
         def has_cycle_oracle(model):
             ids = [n.id for n in model.nodes]
-            reach = {i: set(successors(model, i)) for i in ids}
+            reach = {i: {e.target for e in model.outgoing(i)} for i in ids}
             for _ in ids:
                 for i in ids:
                     reach[i] |= {k for j in reach[i] for k in reach[j]}
@@ -224,35 +246,43 @@ class TestAcyclicity:
             assert is_acyclic(model) == (not has_cycle_oracle(model)), seed
 
 
+def targets(model, node_id):
+    return [e.target for e in model.outgoing(node_id)]
+
+
+def sources(model, node_id):
+    return [e.source for e in model.incoming(node_id)]
+
+
 class TestAdjacency:
     def test_fork_successors_in_edge_order(self, high_model):
-        assert successors(high_model, "ForkNode1") == ["ShipOrder", "ChargeOrder"]
+        assert targets(high_model, "ForkNode1") == ["ShipOrder", "ChargeOrder"]
 
     def test_initial_has_no_predecessors(self, high_model):
-        assert predecessors(high_model, "InitialNode1") == []
+        assert high_model.incoming("InitialNode1") == ()
 
     def test_low_decision_successors(self, low_unsat_model):
-        assert successors(low_unsat_model, "DecisionNode2") == [
+        assert targets(low_unsat_model, "DecisionNode2") == [
             "ConfirmOrderCancelation",
             "CreateOrderBusinessObject",
         ]
 
     def test_join_predecessors(self, high_model):
-        assert predecessors(high_model, "JoinNode1") == ["ShipOrder", "ChargeOrder"]
+        assert sources(high_model, "JoinNode1") == ["ShipOrder", "ChargeOrder"]
 
     def test_unknown_node_raises(self, high_model):
         with pytest.raises(ValueError, match="unknown node"):
-            successors(high_model, "Nope")
+            high_model.outgoing("Nope")
         with pytest.raises(ValueError, match="unknown node"):
-            predecessors(high_model, "Nope")
+            high_model.incoming("Nope")
 
     def test_order_stable_across_reparse(self, high_model):
         from containcheck.ingest import parse_dsl, print_dsl
 
         again = parse_dsl(print_dsl(high_model), "again")
         for node in high_model.nodes:
-            assert successors(high_model, node.id) == successors(again, node.id)
-            assert predecessors(high_model, node.id) == predecessors(again, node.id)
+            assert high_model.outgoing(node.id) == again.outgoing(node.id)
+            assert high_model.incoming(node.id) == again.incoming(node.id)
 
 
 class TestIndex:
@@ -340,7 +370,7 @@ class TestRecords:
         assert And(left=a, right=a) == And(a, a)
         assert Node(id="x", kind=NodeKind.ACTION, name="X").name == "X"
         assert Edge(source="A", target="B").guard is None
-        assert SmvModule(vars=(), assigns=()).specs == ()
+        assert SmvModule(vars=(), assigns=()) == SmvModule((), ())
         prop = GeneratedProperty(formula=a, origin="A", primitive=Primitive.SEQUENCE)
         assert prop.origin == "A"
         lasso = Lasso(var_names=("a",), prefix=(), loop=(("FALSE",),))

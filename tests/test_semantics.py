@@ -21,7 +21,7 @@ from conftest import (
 )
 from containcheck.checker import check_all
 from containcheck.ingest import load_model, parse_dsl
-from containcheck.ltl import generate_properties
+from containcheck.ltl import generate_properties, parse_ltl
 from containcheck.semantics import (
     ChoicesExhausted,
     StateCapExceeded,
@@ -30,6 +30,7 @@ from containcheck.semantics import (
     simulate,
 )
 from containcheck.smv import (
+    AtomMismatchError,
     ConstTrue,
     Keep,
     Literal,
@@ -37,6 +38,7 @@ from containcheck.smv import (
     SmvModule,
     SmvVarDecl,
     VarTrue,
+    check_atoms,
     generate_smv,
 )
 from smv_reference import eval_cond, parse_smv, reference_successors
@@ -85,10 +87,28 @@ class TestBuild:
 
     def test_atom_values(self, low_unsat_system):
         assert low_unsat_system.atom_value(low_unsat_system.initial, "InitialNode1")
-        with pytest.raises(ValueError):
+        with pytest.raises(AtomMismatchError):
             low_unsat_system.atom_value(low_unsat_system.initial, "DecisionNode1")
-        with pytest.raises(ValueError):
+        with pytest.raises(AtomMismatchError):
             low_unsat_system.atom_value(low_unsat_system.initial, "Nope")
+
+    @pytest.mark.parametrize("name", ["DecisionNode1", "Nope"])
+    def test_atom_readers_refuse_as_check_atoms(self, low_unsat_system, name):
+        """A decision scalar or an unknown name is refused by every atom
+        reader with check_atoms' error and text."""
+        sys = low_unsat_system
+        with pytest.raises(AtomMismatchError) as checked:
+            check_atoms(sys.module, [parse_ltl(f"F {name}")])
+        readers = (
+            lambda: sys.atom_value(sys.initial, name),
+            lambda: sys.atom_bits([sys.initial], name),
+            lambda: sys.atom_mask(["InitialNode1", name]),
+        )
+        for read in readers:
+            with pytest.raises(AtomMismatchError) as refused:
+                read()
+            assert str(refused.value) == str(checked.value) == f"atoms missing from the model: {name}"
+            assert refused.value.missing == [name]
 
 
 class TestReachability:
@@ -256,10 +276,10 @@ class TestPulseInvariants:
             sys = build_system(generate_smv(random_valid_model(seed)))
             initial_vars = {sys.var_names[0]}
             for state, succ in self.zip_edges(sys, cap=2000):
-                for var in sys.var_names:
-                    if not sys.is_boolean_var(var) or var in initial_vars:
+                for decl in sys.module.vars:
+                    if not decl.is_boolean or decl.name in initial_vars:
                         continue
-                    assert sys.atom_value(succ, var) == self.fired(sys, var, state)
+                    assert sys.atom_value(succ, decl.name) == self.fired(sys, decl.name, state)
 
 
 class TestStateIds:
@@ -467,10 +487,10 @@ class TestCompiledSuccessors:
 
     def test_true_arm_before_the_last(self):
         # x turns FALSE with y idle; light never takes its idle value.
-        assert reference_graph_matches(parse_smv(EARLY_TRUE_ARM)) == 3
+        assert reference_graph_matches(parse_smv(EARLY_TRUE_ARM)[0]) == 3
 
     def test_last_arm_that_does_not_keep_the_variable(self):
-        assert reference_graph_matches(parse_smv(FALSE_DEFAULT)) == 2
+        assert reference_graph_matches(parse_smv(FALSE_DEFAULT)[0]) == 2
         assert reference_graph_matches(copying_module()) == 2
 
     @pytest.mark.parametrize(
@@ -489,13 +509,13 @@ class TestCompiledSuccessors:
     def test_scalar_read_as_a_boolean_is_refused(self):
         # A bare scalar has no truth value (NuSMV rejects the module), so
         # no reading of `d : TRUE` is right: the system is not built.
-        module = parse_smv(SCALAR_READ_AS_BOOLEAN)
+        module, _ = parse_smv(SCALAR_READ_AS_BOOLEAN)
         message = r"scalar 'd' is read as a boolean in the arm 'd : TRUE' of next\(b\)"
         with pytest.raises(ValueError, match=message):
             build_system(module)
 
     def test_no_matching_arm_raises_when_met(self):
-        module = parse_smv(FALSE_DEFAULT.replace("    TRUE : FALSE;\n", ""))
+        module, _ = parse_smv(FALSE_DEFAULT.replace("    TRUE : FALSE;\n", ""))
         sys = build_system(module)
         with pytest.raises(ValueError, match="no case arm matched for 'p'"):
             sys.successors(sys.initial)

@@ -209,17 +209,19 @@ class TestReader:
     def test_fixture_module_round_trips(self, high_model, low_unsat_model, low_sat_model):
         for model in (high_model, low_unsat_model, low_sat_model):
             module = generate_smv(model)
-            assert parse_smv(render_smv(module)) == module
+            assert parse_smv(render_smv(module)) == (module, ())
 
     def test_bundle_round_trips(self, high_model, low_sat_model):
         props = generate_properties(high_model)
-        text = bundle_check_file(generate_smv(low_sat_model), props)
-        module = parse_smv(text)
-        assert len(module.specs) == 6
-        assert render_smv(module) == text
+        module = generate_smv(low_sat_model)
+        text = bundle_check_file(module, props)
+        parsed, specs = parse_smv(text)
+        assert parsed == module
+        assert len(specs) == 6
+        assert render_smv(parsed) + "".join(f"{spec}\n" for spec in specs) == text
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_random_module_round_trips(self, seed):
         module = generate_smv(random_valid_model(seed))
-        assert parse_smv(render_smv(module)) == module
+        assert parse_smv(render_smv(module)) == (module, ())
