@@ -21,10 +21,11 @@ Cost tracks the automaton, not the formula's printed size:
 - a node's successors depend only on its Next set, so each distinct Next
   set is expanded once per build (366 for a 6-way decision's 2,446
   states) and the depth-first numbering is replayed over the expansions;
-- `G f` is `FALSE R f`, whose second half walks the rest of its node and
-  dies at FALSE. Its splits are counted, 2^m - 1 for the m disjunctions
-  on that walk, not walked, so the state ids stay those of the full walk
-  (6,542 pending nodes for a 6-way decision instead of 16,718);
+- `G f` is `FALSE R f`, whose second half would walk the rest of its
+  node and die at FALSE. It is never pushed: a state is numbered by the
+  creation time of the pending node that becomes it, and only the order
+  of those times is kept, so nodes that never become states go uncounted
+  (5,534 pending nodes for a 6-way decision instead of 16,718);
 - no walk recurses, so formula depth is bounded by memory only.
 """
 
@@ -53,6 +54,17 @@ def atom_order(atoms) -> list[str]:
     atoms in this order, and formulas whose atoms rank alike have equal
     automata."""
     return sorted(atoms, key=repr)
+
+
+def shape(formula: ltl.Formula) -> tuple:
+    """The formula in prefix order, each operator as its class and each
+    atom as its rank in `atom_order`. The tableau orders literals by that
+    rank and its structure by the formula's, so formulas of one shape have
+    equal automata."""
+    items = ltl.preorder(formula)
+    names = atom_order({item for item in items if isinstance(item, str)})
+    rank = {name: i for i, name in enumerate(names)}
+    return tuple(rank[item] if isinstance(item, str) else item for item in items)
 
 
 def _rule(f: ltl.Formula, negate: bool) -> tuple[tuple, object]:
@@ -260,20 +272,21 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
     split pushes its second half before its first, and each leaf records
     the number of splits made before it, the split that pushed it (0 for
     the seed itself) and which half it is. The second half of a G split
-    would die at FALSE, so `dead_splits` counts its splits instead, and a
-    marker in its place adds them when it pops.
+    would die at FALSE, so it is not pushed.
 
-    State ids are those of one depth-first walk over every pending node:
-    a split adds 2 to a counter and its halves take the old value +1 and
-    +2; a leaf with a new key adds 1, and its successors' seed takes that
-    value and is expanded at once, before the rest of the current
-    expansion. The numbering pass replays that walk over the cached
-    leaves from a stack of frames. A frame's `at` holds its seed's id,
-    then the counter at each of its splits replayed so far. Once a Next
-    set has been replayed to its end, every leaf of it has an id, so a
-    later replay of it would only add 2 per split.
+    A state's id is the creation time of the pending node that becomes
+    it, in one depth-first walk over the pending nodes: a split takes two
+    ticks of a counter, its halves the first and second; a leaf with a new
+    key takes one more for its successors' seed, which is expanded at
+    once, before the rest of the current expansion. Only the order of the
+    ids is kept, so a node that never becomes a state need not be counted.
+    The numbering pass replays the walk over the cached leaves from a
+    stack of frames. A frame's `at` holds its seed's id, then the counter
+    at each of its splits replayed so far. Once a Next set has been
+    replayed to its end, every leaf of it has an id, so it is not replayed
+    again.
 
-    States are numbered 0..n-1 in the order of their walk ids, and each
+    States are numbered 0..n-1 in the order of their ids, and each
     distinct set of literals is turned into a label once.
     """
     table = _Interned(ltl.Not(formula))
@@ -281,37 +294,13 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
     by_rank = sorted(range(len(kind)), key=table.repr_ranks().__getitem__)
     complement = {f: 1 << c if c >= 0 else 0 for f, c in table.complement.items()}
 
-    def dead_splits(rest: list[int], old: int) -> int:
-        """The splits of a pending node that walks `rest` from `old` and
-        then meets FALSE. Each split inside it appends its parts after
-        FALSE, so both halves walk the same obligations from the same
-        `old`: m not-yet-held disjunctions on the walk give 2^m - 1."""
-        m = 0
-        for f in rest:
-            bit = 1 << f
-            if old & bit:
-                continue
-            k = kind[f]
-            if k == _TRUE:
-                continue
-            if k == _FALSE or k == _LIT and old & complement[f]:
-                break
-            old |= bit
-            if k in (_OR, _RELEASE, _UNTIL):
-                m += 1
-        return (1 << m) - 1
-
     @cache
-    def expand(seed: int) -> tuple[list[tuple], int]:
+    def expand(seed: int) -> list[tuple]:
         leaves: list[tuple] = []
         splits = 0
-        stack: list = [(0, 0, [f for f in by_rank if seed >> f & 1], 0, 0)]
+        stack = [(0, 0, [f for f in by_rank if seed >> f & 1], 0, 0)]
         while stack:
-            entry = stack.pop()
-            if type(entry) is int:  # a dead G half: the splits it would make
-                splits += entry
-                continue
-            split, half, new, old, nxt = entry
+            split, half, new, old, nxt = stack.pop()
             # `new` may grow while it is walked; the walk then reaches the
             # added obligations too.
             for i, f in enumerate(new, 1):
@@ -350,28 +339,25 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
                     # G f = FALSE R f: the second half would die at FALSE.
                     second = None if kind[left[f]] == _FALSE else (rest + [left[f], right[f]], nxt)
                 splits += 1
-                if second is None:
-                    stack.append(dead_splits(rest, old))
-                else:
+                if second is not None:
                     stack.append((splits, 2, second[0], old, second[1]))
                 stack.append((splits, 1, first[0], old, first[1]))
                 break
             else:
                 leaves.append(((old, nxt), splits, split, half))
-        return leaves, splits
+        return leaves
 
     def frame(seed: int, node_id: int) -> tuple:
-        leaves, splits = expand(seed)
-        return seed, iter(leaves), [node_id], splits
+        return seed, iter(expand(seed)), [node_id]
 
     root = 1 << table.root
-    ids: dict[tuple[int, int], int] = {}  # (old, next) -> walk id
+    ids: dict[tuple[int, int], int] = {}  # (old, next) -> creation time
     nodes: list[tuple[int, int]] = []  # keys in creation order
     replayed: set[int] = set()
     counter = 1
     stack = [frame(root, counter)]
     while stack:
-        seed, leaves, at, splits = stack[-1]
+        seed, leaves, at = stack[-1]
         for key, before, split, half in leaves:
             while len(at) <= before:
                 at.append(counter)
@@ -384,11 +370,9 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
             if key[1] not in replayed:
                 stack.append(frame(key[1], counter))
                 break
-            counter += 2 * expand(key[1])[1]
         else:
             stack.pop()
             replayed.add(seed)
-            counter += 2 * (splits + 1 - len(at))
 
     keys = sorted(ids, key=ids.__getitem__)
     ids = {key: q for q, key in enumerate(keys)}
@@ -406,9 +390,9 @@ def automaton_for_negation(formula: ltl.Formula) -> BuchiAutomaton:
             labels[lits] = pos, care
         states.append(labels[lits])
         if nxt not in successors:
-            successors[nxt] = tuple(sorted({ids[leaf[0]] for leaf in expand(nxt)[0]}))
+            successors[nxt] = tuple(sorted({ids[leaf[0]] for leaf in expand(nxt)}))
         transitions.append(successors[nxt])
-    roots = {leaf[0] for leaf in expand(root)[0]}
+    roots = {leaf[0] for leaf in expand(root)}
     initial = [ids[key] for key in nodes if key in roots]
     acceptance = [
         frozenset(

@@ -29,7 +29,7 @@ each operator costs one or two operations on ints as wide as the run; the
 system gives each atom's column once. Such a property is reported holding
 with no product when check's product provably fits the cap: the run's
 length times the automaton's states is at most the cap. The automaton is
-built once per formula shape (see `_shape`) to size it. Every other
+built once per formula shape (see `automaton.shape`) to size it. Every other
 property, each violated one and each property of a branching system, goes
 to check(), so lassos, errors and their order are check's own.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 
 from . import ltl, smv
-from .automaton import BuchiAutomaton, atom_order, automaton_for_negation
+from .automaton import BuchiAutomaton, automaton_for_negation, shape
 from .record import Record, setfield
 from .semantics import (
     DEFAULT_STATE_CAP,
@@ -323,11 +323,11 @@ def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -
         if run is not None:
             smv.check_atoms(sys.module, [formula])
             if _holds_on_lasso(formula, loop_start, len(states), column):
-                shape = _shape(formula)
-                if shape not in sizes:
-                    sizes[shape] = len(automaton_for_negation(formula).states)
+                key = shape(formula)
+                if key not in sizes:
+                    sizes[key] = len(automaton_for_negation(formula).states)
                 # The product pairs a run state with an automaton state.
-                if len(states) * sizes[shape] <= cap:
+                if len(states) * sizes[key] <= cap:
                     out.append(Verdict(formula, True, None, primitive, origin))
                     continue
         out.append(check(sys, formula, cap, primitive, origin))
@@ -351,17 +351,6 @@ def _single_run(sys: TransitionSystem, cap: int) -> tuple[int, list] | None:
             return None
         state = succs[0]
     return position[state], states
-
-
-def _shape(formula: ltl.Formula) -> tuple:
-    """The formula in prefix order, each operator as its class and each
-    atom as its rank in the tableau's `atom_order`. The tableau orders
-    literals by that rank and its structure by the formula's, so formulas
-    of one shape have equal automata."""
-    items = ltl.preorder(formula)
-    names = atom_order({item for item in items if isinstance(item, str)})
-    rank = {name: i for i, name in enumerate(names)}
-    return tuple(rank[item] if isinstance(item, str) else item for item in items)
 
 
 def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import re
 
-from .model import ActivityModel, Edge, ID_PATTERN, Node, NodeKind, validate
+from .model import (
+    DUPLICATE_EDGE, ActivityModel, Edge, ID_PATTERN, Node, NodeKind, repeated_edges, validate,
+)
 from .record import Record, setfield
 
 NODE_KEYWORDS = {k.value for k in NodeKind}
@@ -247,13 +249,19 @@ def parse_dsl(text: str, origin: str = "<string>") -> ActivityModel | list[Parse
     model = ActivityModel(parser.model_name, parser.nodes, parser.edges)
     problems = validate(model)
     if problems:
-        # Each violation at its node's span, else at its edge's first span.
+        # Each violation at its node's span, else at its edge's first span;
+        # a duplicate edge at the declaration that repeats it.
         edge_spans: dict[tuple[str, str], SourceSpan] = {}
         for e, span in zip(parser.edges, parser.edge_spans):
             edge_spans.setdefault((e.source, e.target), span)
+        repeats = iter([parser.edge_spans[i] for i in repeated_edges(model.edges)])
         start = SourceSpan(origin, 1, 1)
         return [
-            ParseError(str(v), parser.node_spans.get(v.node_id) or edge_spans.get(v.edge, start))
+            ParseError(
+                str(v),
+                next(repeats) if v.message == DUPLICATE_EDGE
+                else parser.node_spans.get(v.node_id) or edge_spans.get(v.edge, start),
+            )
             for v in problems
         ]
     return model
@@ -355,8 +363,11 @@ def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[Pars
     model = ActivityModel(name or "", nodes, edges)
     problems = validate(model)
     if problems:
+        # A duplicate edge is pointed at the entry that repeats it.
+        repeats = iter([f"/edges/{i}" for i in repeated_edges(edges)])
         return [
-            located(str(v), "/nodes" if v.node_id else "/edges") for v in problems
+            located(str(v), next(repeats) if v.message == DUPLICATE_EDGE else "/nodes" if v.node_id else "/edges")
+            for v in problems
         ]
     return model
 

@@ -130,6 +130,16 @@ class ActivityModel(Record):
         return self._in.get(node_id, ())
 
 
+DUPLICATE_EDGE = "duplicate edge"
+
+
+def repeated_edges(edges) -> list[int]:
+    """The indices of the edges that join the same two nodes as an earlier
+    edge, in order; validate reports one DUPLICATE_EDGE for each."""
+    first: dict[tuple[str, str], int] = {}
+    return [i for i, e in enumerate(edges) if first.setdefault((e.source, e.target), i) != i]
+
+
 class Violation(Record):
     """One well-formedness failure, located at a node or an edge."""
 
@@ -174,6 +184,10 @@ def validate(model: ActivityModel) -> list[Violation]:
     if any(v.edge for v in out) or len(seen) != len(model.nodes):
         # Arity and reachability checks assume resolvable, unique endpoints.
         return out
+
+    for i in repeated_edges(model.edges):
+        e = model.edges[i]
+        out.append(Violation(DUPLICATE_EDGE, edge=(e.source, e.target)))
 
     n_in = {n.id: len(model.incoming(n.id)) for n in model.nodes}
     n_out = {n.id: len(model.outgoing(n.id)) for n in model.nodes}

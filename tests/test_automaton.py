@@ -34,8 +34,8 @@ from containcheck.automaton import (
     BuchiAutomaton,
     _Interned,
     automaton_for_negation,
+    shape as _shape,
 )
-from containcheck.checker import _shape
 from containcheck.ingest import load_model
 
 # --- reference construction ----------------------------------------------

@@ -42,7 +42,7 @@ from containcheck.automaton import automaton_for_negation
 from containcheck.cli import main
 from containcheck.ingest import load_model, parse_dsl, print_dsl
 from containcheck.ltl import generate_properties, parse_ltl, render_formula
-from containcheck.model import NodeKind
+from containcheck.model import ActivityModel, Edge, Node, NodeKind
 from containcheck.semantics import StateCapExceeded, build_system, reachable_states
 from containcheck.smv import AtomMismatchError, generate_smv
 
@@ -274,6 +274,23 @@ class TestCheckSmall:
         assert check(sys, decision, cap=1000).holds
         ((qs, _),) = searched
         assert (len(automaton_for_negation(decision).states), len(qs)) == (2446, 942)
+
+    def test_decision_template_is_xor_parity(self):
+        # The decision template chains binary xor, so with k branches it
+        # means "an odd number of them happen". A refinement that runs all
+        # k branches, a fork and a join in place of the decision and the
+        # merge, keeps every property exactly when k is odd.
+        swap = {NodeKind.DECISION: NodeKind.FORK, NodeKind.MERGE: NodeKind.JOIN}
+        for k in range(2, 6):
+            high = decision_model(k)
+            low = ActivityModel(
+                f"ForkJoin{k}",
+                [Node(n.id, swap.get(n.kind, n.kind)) for n in high.nodes],
+                [Edge(e.source, e.target) for e in high.edges],
+            )
+            verdicts = check_all(build_system(generate_smv(low)), generate_properties(high))
+            assert [v.holds for v in verdicts] == [True, k % 2 == 1, True, True], k
+            assert verdicts[1].primitive is ltl.Primitive.DECISION
 
     @pytest.mark.parametrize("branches", [("P1 [deep]", "MB [shallow]"), ("MB [shallow]", "P1 [deep]")])
     def test_lasso_enters_the_fair_scc_discovered_first(self, branches):
@@ -753,13 +770,13 @@ class TestSingleRun:
     def test_atoms_rank_in_repr_order(self):
         # The tableau sorts literals by repr(atom), so a shape ranks atoms
         # in that order: `G (b -> F a)` is not `G (a -> F b)`.
-        from containcheck.checker import _shape
+        from containcheck.automaton import shape
 
-        assert _shape(parse_ltl("G (a -> F b)")) == _shape(parse_ltl("G (A0 -> F A1)"))
-        assert _shape(parse_ltl("G (b -> F a)")) != _shape(parse_ltl("G (a -> F b)"))
-        assert _shape(parse_ltl("G (a -> F a)")) != _shape(parse_ltl("G (a -> F b)"))
+        assert shape(parse_ltl("G (a -> F b)")) == shape(parse_ltl("G (A0 -> F A1)"))
+        assert shape(parse_ltl("G (b -> F a)")) != shape(parse_ltl("G (a -> F b)"))
+        assert shape(parse_ltl("G (a -> F a)")) != shape(parse_ltl("G (a -> F b)"))
         # repr order, not first occurrence: "Z" sorts before "a".
-        assert _shape(parse_ltl("G (a -> F Z)")) == _shape(parse_ltl("G (b -> F a)"))
+        assert shape(parse_ltl("G (a -> F Z)")) == shape(parse_ltl("G (b -> F a)"))
 
     @pytest.fixture()
     def fulfilment(self):

@@ -282,6 +282,15 @@ class TestCheck:
             assert run("check", FULFILMENT_HIGH, FULFILMENT_LOW, "--format", fmt, *extra) == 1
             assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
 
+    def test_parity_pair_matches_golden(self, capsys):
+        # A fork/join refinement of a three-way decision runs all three
+        # branches; the decision property's xor chain holds on an odd count.
+        high, low = GOLDEN / "parity_high.behavior", GOLDEN / "parity_low_forkjoin.behavior"
+        assert run("check", high, low) == 0
+        captured = capsys.readouterr()
+        golden = (GOLDEN / "parity_low_forkjoin.check.txt").read_bytes()
+        assert (captured.out.encode("utf-8"), captured.err) == (golden, "")
+
     def test_smallest_passing_cap_on_a_single_run(self, capsys):
         # The violated property's product needs 18 states; with one fewer,
         # check's message reports the cap.

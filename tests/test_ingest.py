@@ -90,6 +90,14 @@ class TestParseDsl:
         assert [str(e.span) for e in guards] == ["d.behavior:6:5", "d.behavior:6:5"]
         assert any("exactly 1 outgoing" in e.message and e.span.line == 3 for e in errs)
 
+    def test_duplicate_edge_located_where_it_repeats(self):
+        text = (
+            "model Dup3 {\n  initial S; decision D; action A; action B; merge M; final F;\n"
+            "  S -> D;\n  D -> A;\n  D -> B;\n  D -> A;\n  A -> M; B -> M; M -> F;\n}"
+        )
+        errs = errors_of(parse_dsl(text, "d.behavior"))
+        assert [str(e) for e in errs] == ["d.behavior:6:3: D -> A: duplicate edge"]
+
     def test_every_error_has_location(self):
         for text in (
             "model M { initial I; final F; I -> Missing; }",
@@ -202,6 +210,18 @@ class TestParseJson:
         errs = errors_of(parse_json(json.dumps(doc)))
         err = next(e for e in errs if "unknown node reference" in e.message)
         assert err.pointer == "/edges/0/target"
+
+
+    def test_duplicate_edge_pointed_at_the_repeat(self):
+        nodes = {"S": "initial", "D": "decision", "A": "action", "B": "action", "M": "merge", "F": "final"}
+        pairs = [("S", "D"), ("D", "A"), ("D", "B"), ("D", "A"), ("A", "M"), ("B", "M"), ("M", "F")]
+        doc = {
+            "name": "Dup3",
+            "nodes": [{"id": i, "kind": k} for i, k in nodes.items()],
+            "edges": [{"source": a, "target": b} for a, b in pairs],
+        }
+        errs = errors_of(parse_json(json.dumps(doc)))
+        assert [(e.pointer, e.message) for e in errs] == [("/edges/3", "D -> A: duplicate edge")]
 
 
 class TestPrintDsl:

@@ -135,6 +135,22 @@ class TestValidate:
         )
         assert any("duplicate node id" in v.message for v in validate(model))
 
+    def test_parallel_edge_reported(self):
+        # A second D -> A would declare guard_D_A twice in the SMV scalar
+        # and list A twice among the system's successors.
+        model = model_of(
+            [
+                ("S", NodeKind.INITIAL),
+                ("D", NodeKind.DECISION),
+                ("A", NodeKind.ACTION),
+                ("B", NodeKind.ACTION),
+                ("M", NodeKind.MERGE),
+                ("F", NodeKind.FINAL),
+            ],
+            [("S", "D"), ("D", "A"), ("D", "A"), ("D", "B"), ("A", "M"), ("B", "M"), ("M", "F")],
+        )
+        assert [str(v) for v in validate(model)] == ["D -> A: duplicate edge"]
+
     def test_illegal_id(self):
         model = model_of(
             [("1bad", NodeKind.INITIAL), ("E", NodeKind.FINAL)], [("1bad", "E")]
