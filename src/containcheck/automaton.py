@@ -56,17 +56,6 @@ def atom_order(atoms) -> list[str]:
     return sorted(atoms, key=repr)
 
 
-def shape(formula: ltl.Formula) -> tuple:
-    """The formula in prefix order, each operator as its class and each
-    atom as its rank in `atom_order`. The tableau orders literals by that
-    rank and its structure by the formula's, so formulas of one shape have
-    equal automata."""
-    items = ltl.preorder(formula)
-    names = atom_order({item for item in items if isinstance(item, str)})
-    rank = {name: i for i, name in enumerate(names)}
-    return tuple(rank[item] if isinstance(item, str) else item for item in items)
-
-
 def _rule(f: ltl.Formula, negate: bool) -> tuple[tuple, object]:
     """One rewriting step into NNF: the (operand, polarity) parts the
     NNF of `f` (negated if `negate`) is built from, and a template that

@@ -27,11 +27,14 @@ checking a path", CONCUR 2003). evaluate_on_lasso decides it with each
 subformula's truth along the run held as an int, bit i at position i, so
 each operator costs one or two operations on ints as wide as the run; the
 system gives each atom's column once. Such a property is reported holding
-with no product when check's product provably fits the cap: the run's
-length times the automaton's states is at most the cap. The automaton is
-built once per formula shape (see `automaton.shape`) to size it. Every other
-property, each violated one and each property of a branching system, goes
-to check(), so lassos, errors and their order are check's own.
+with no automaton and no product. Every other property, each violated one
+and each property of a branching system, goes to check(), so lassos and
+their bytes are check's own.
+
+The cap bounds the states that the path deciding a property explores: on
+a single-run system, the run for a property that holds on it; otherwise
+check's product. The tableau is the one structure it does not bound: it
+is built whole before the product is explored.
 
 oracle_check() never builds an automaton: it enumerates lassos of the
 system directly and evaluates the property on each word by unrolling. On a
@@ -46,7 +49,7 @@ from __future__ import annotations
 import json
 
 from . import ltl, smv
-from .automaton import BuchiAutomaton, automaton_for_negation, shape
+from .automaton import BuchiAutomaton, automaton_for_negation
 from .record import Record, setfield
 from .semantics import (
     DEFAULT_STATE_CAP,
@@ -150,6 +153,8 @@ def check(
 
     cap bounds the number of product states explored.
     """
+    if cap < 1:
+        raise ValueError("cap must be positive")
     smv.check_atoms(sys.module, [prop])
     auto = automaton_for_negation(prop)
     labels, transitions = auto.states, auto.transitions
@@ -300,9 +305,13 @@ def _fair_cycle(adjacency, scc: set, entry: int, qs, auto: BuchiAutomaton) -> li
 
 
 def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -> list[Verdict]:
-    """One verdict per property, input order preserved; each verdict,
-    lasso and exception is the one check() gives for that property alone,
-    and the first exception in input order propagates."""
+    """One verdict per property, input order preserved; the first
+    exception in input order propagates. A property that holds on a
+    single run of at most `cap` states is reported holding from the run;
+    every other one gets the verdict, lasso or exception that check()
+    gives for it alone."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
     run = _single_run(sys, cap)
     if run is not None:
         loop_start, states = run
@@ -313,7 +322,6 @@ def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -
                 columns[atom] = sys.atom_bits(states, atom)
             return columns[atom]
 
-    sizes: dict[tuple, int] = {}  # shape -> automaton states
     out = []
     for prop in properties:
         if isinstance(prop, ltl.GeneratedProperty):
@@ -323,13 +331,8 @@ def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -
         if run is not None:
             smv.check_atoms(sys.module, [formula])
             if _holds_on_lasso(formula, loop_start, len(states), column):
-                key = shape(formula)
-                if key not in sizes:
-                    sizes[key] = len(automaton_for_negation(formula).states)
-                # The product pairs a run state with an automaton state.
-                if len(states) * sizes[key] <= cap:
-                    out.append(Verdict(formula, True, None, primitive, origin))
-                    continue
+                out.append(Verdict(formula, True, None, primitive, origin))
+                continue
         out.append(check(sys, formula, cap, primitive, origin))
     return out
 

@@ -112,7 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_STATE_CAP,
-        help="state-space exploration cap (default: %(default)s)",
+        help=(
+            "bound on the states explored to decide each property: the run of "
+            "a one-run system where the property holds on it, else the "
+            "product (default: %(default)s)"
+        ),
     )
     p_check.add_argument(
         "--depth",

@@ -249,22 +249,26 @@ def parse_dsl(text: str, origin: str = "<string>") -> ActivityModel | list[Parse
     model = ActivityModel(parser.model_name, parser.nodes, parser.edges)
     problems = validate(model)
     if problems:
-        # Each violation at its node's span, else at its edge's first span;
-        # a duplicate edge at the declaration that repeats it.
-        edge_spans: dict[tuple[str, str], SourceSpan] = {}
-        for e, span in zip(parser.edges, parser.edge_spans):
-            edge_spans.setdefault((e.source, e.target), span)
-        repeats = iter([parser.edge_spans[i] for i in repeated_edges(model.edges)])
-        start = SourceSpan(origin, 1, 1)
-        return [
-            ParseError(
-                str(v),
-                next(repeats) if v.message == DUPLICATE_EDGE
-                else parser.node_spans.get(v.node_id) or edge_spans.get(v.edge, start),
-            )
-            for v in problems
-        ]
+        whole = SourceSpan(origin, 1, 1)
+        located = _locate(problems, parser.edges, parser.node_spans, parser.edge_spans, whole)
+        return [ParseError(str(v), span) for v, span in located]
     return model
+
+
+def _locate(problems, edges: list[Edge], node_at: dict, edge_at: list, whole) -> list[tuple]:
+    """Each violation paired with where it is: its node's location, else
+    the location of the first edge between its two nodes (a duplicate
+    edge at the edge that repeats it), else `whole`, the model's.
+    node_at maps node ids and edge_at lists edges' locations in order."""
+    first_at: dict[tuple[str, str], object] = {}
+    for e, at in zip(edges, edge_at):
+        first_at.setdefault((e.source, e.target), at)
+    repeats = iter([edge_at[i] for i in repeated_edges(edges)])
+    return [
+        (v, next(repeats) if v.message == DUPLICATE_EDGE
+         else node_at.get(v.node_id) or first_at.get(v.edge, whole))
+        for v in problems
+    ]
 
 
 def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[ParseError]:
@@ -283,6 +287,8 @@ def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[Pars
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         return [located(f"invalid JSON: {exc.msg}", f"line {exc.lineno}")]
+    except RecursionError:
+        return [located("invalid JSON: nested too deeply", "/")]
     if not isinstance(doc, dict):
         return [located("top-level value must be an object", "/")]
 
@@ -363,12 +369,9 @@ def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[Pars
     model = ActivityModel(name or "", nodes, edges)
     problems = validate(model)
     if problems:
-        # A duplicate edge is pointed at the entry that repeats it.
-        repeats = iter([f"/edges/{i}" for i in repeated_edges(edges)])
-        return [
-            located(str(v), next(repeats) if v.message == DUPLICATE_EDGE else "/nodes" if v.node_id else "/edges")
-            for v in problems
-        ]
+        node_at = {n.id: f"/nodes/{i}" for i, n in enumerate(nodes)}
+        edge_at = [f"/edges/{i}" for i in range(len(edges))]
+        return [located(str(v), at) for v, at in _locate(problems, edges, node_at, edge_at, "/")]
     return model
 
 

@@ -33,8 +33,8 @@ from containcheck.automaton import (
     _UNTIL,
     BuchiAutomaton,
     _Interned,
+    atom_order,
     automaton_for_negation,
-    shape as _shape,
 )
 from containcheck.ingest import load_model
 
@@ -490,15 +490,35 @@ def test_formula_deeper_than_the_recursion_limit():
 
 
 # --- one automaton per shape -----------------------------------------------
-# check_all builds one automaton per `_shape` to size the product of every
-# formula of that shape, so formulas of one shape must have equal automata.
+# The tableau orders literals by atom rank and its structure by the
+# formula's, so formulas that differ only in atoms of equal rank must have
+# equal automata: one automaton could then serve every formula of a shape.
+
+
+def shape(formula: ltl.Formula) -> tuple:
+    """The formula in prefix order, each operator as its class and each
+    atom as its rank in `atom_order`."""
+    items = ltl.preorder(formula)
+    names = atom_order({item for item in items if isinstance(item, str)})
+    rank = {name: i for i, name in enumerate(names)}
+    return tuple(rank[item] if isinstance(item, str) else item for item in items)
+
+
+def test_atoms_rank_in_repr_order():
+    # The tableau sorts literals by repr(atom), so a shape ranks atoms in
+    # that order: `G (b -> F a)` is not `G (a -> F b)`.
+    assert shape(ltl.parse_ltl("G (a -> F b)")) == shape(ltl.parse_ltl("G (A0 -> F A1)"))
+    assert shape(ltl.parse_ltl("G (b -> F a)")) != shape(ltl.parse_ltl("G (a -> F b)"))
+    assert shape(ltl.parse_ltl("G (a -> F a)")) != shape(ltl.parse_ltl("G (a -> F b)"))
+    # repr order, not first occurrence: "Z" sorts before "a".
+    assert shape(ltl.parse_ltl("G (a -> F Z)")) == shape(ltl.parse_ltl("G (b -> F a)"))
 
 
 def assert_one_automaton_per_shape(formulas) -> dict:
     """The formulas grouped by shape, each group's automata equal."""
     groups: dict[tuple, list] = {}
     for formula in formulas:
-        groups.setdefault(_shape(formula), []).append(formula)
+        groups.setdefault(shape(formula), []).append(formula)
     for group in groups.values():
         first = automaton_for_negation(group[0])
         for formula in group[1:]:
@@ -537,6 +557,6 @@ def test_renamed_formulas_of_one_shape_share_an_automaton():
             random_formula(random.Random(seed), atoms, depth)
             for atoms in (["a", "b", "c", "d"], renamed, shuffled)
         )
-        assert _shape(same) == _shape(original), ltl.render_formula(original)
+        assert shape(same) == shape(original), ltl.render_formula(original)
         formulas += [original, same, other]
     assert_one_automaton_per_shape(formulas)

@@ -262,6 +262,16 @@ class TestCheckSmall:
             check(low_unsat_system, high_properties[1].formula, cap=10)
         assert (raised.value.cap, raised.value.frontier) == (10, 6)
 
+    def test_nonpositive_cap_refused(self):
+        # As reachable_states refuses it, so that no cap below 1 reads as a
+        # bound, not even on a single run whose properties all hold.
+        sys = build_system(generate_smv(load_model(str(FULFILMENT_LOW))))
+        holding = generate_properties(load_model(str(FULFILMENT_HIGH)))[0]
+        for cap in (0, -1):
+            for run in (lambda: check(sys, holding.formula, cap), lambda: check_all(sys, [holding], cap)):
+                with pytest.raises(ValueError, match="^cap must be positive$"):
+                    run()
+
     def test_cap_bounds_the_product_not_the_automaton(self, searched):
         # The automaton is built whole whatever the cap: for a 6-way
         # decision it has 2,446 states, over twice the cap, yet its product
@@ -645,6 +655,28 @@ def per_property(sys, properties, cap):
     return outcome(run)
 
 
+def decided_on_the_run(sys, properties, cap):
+    """What check_all must return at `cap` on a single-run system: a
+    property that holds on a run of at most `cap` states holds, and every
+    other property gets what check gives at `cap`."""
+    n = single_run_length(sys)
+
+    def run():
+        out = []
+        for prop in properties:
+            if isinstance(prop, ltl.GeneratedProperty):
+                formula, primitive, origin = prop.formula, prop.primitive, prop.origin
+            else:
+                formula, primitive, origin = prop, None, None
+            verdict = check(sys, formula, 10**6, primitive, origin)
+            if not (n <= cap and verdict.holds):
+                verdict = check(sys, formula, cap, primitive, origin)
+            out.append(verdict)
+        return out
+
+    return outcome(run)
+
+
 def single_run_length(sys):
     """The number of states on the system's run if it never branches."""
     seen, state = set(), sys.initial
@@ -729,9 +761,10 @@ class TestSingleRun:
 
     def test_cap_errors_equal_check(self, agreement):
         # Caps around each product bound (run length times automaton
-        # states) and below the run length. Properties of several shapes
-        # share one call, so a size taken from the wrong shape shows.
-        raised = 0
+        # states) and below the run length. A property that holds on the
+        # run needs only the run to fit the cap; every other one raises
+        # where check alone raises.
+        raised = decided_where_check_raises = 0
         for name, low, props in agreement[:19] + agreement[19::25]:
             sys = build_system(generate_smv(low))
             n = single_run_length(sys)
@@ -741,42 +774,13 @@ class TestSingleRun:
             sizes = {len(automaton_for_negation(f).states) for f in formulas}
             caps = set(range(1, 2 * n + 2)) | {n * q + d for q in sizes for d in (-1, 0, 1)}
             for cap in sorted(c for c in caps if c > 0):
-                expected = per_property(sys, props, cap)
+                expected = decided_on_the_run(sys, props, cap)
                 assert outcome(lambda: check_all(sys, props, cap)) == expected, (name, cap)
                 raised += isinstance(expected, tuple)
-        assert raised >= 300
-
-    def test_each_shape_is_sized_by_its_own_automaton(self):
-        # Every property below holds on chain(3)'s run of 6 states, and
-        # check's product fits a cap of 6 only for the one-state automata.
-        # A one-state automaton must not size a later property of another
-        # shape, however alike the two look.
-        sys = build_system(generate_smv(chain_model(3)))
-        n = single_run_length(sys)
-        one_state = [parse_ltl("G TRUE"), parse_ltl("G (A0 -> F A0)")]
-        larger = [parse_ltl(t) for t in ("G (A0 -> F A1)", "G (I -> F A0 & F A1 & F A2)", "G (A1 -> F A2)")]
-        sizes = {f: len(automaton_for_negation(f).states) for f in one_state + larger}
-        assert {sizes[f] for f in one_state} == {1} and min(sizes[f] for f in larger) > 1
-        raised = 0
-        for first in one_state:
-            for then in larger:
-                for props in ([first, then], [then, first], [first, then, larger[-1]]):
-                    for cap in range(n, n * max(sizes.values()) + 2):
-                        expected = per_property(sys, props, cap)
-                        assert outcome(lambda: check_all(sys, props, cap)) == expected, (props, cap)
-                        raised += isinstance(expected, tuple)
-        assert raised >= 12
-
-    def test_atoms_rank_in_repr_order(self):
-        # The tableau sorts literals by repr(atom), so a shape ranks atoms
-        # in that order: `G (b -> F a)` is not `G (a -> F b)`.
-        from containcheck.automaton import shape
-
-        assert shape(parse_ltl("G (a -> F b)")) == shape(parse_ltl("G (A0 -> F A1)"))
-        assert shape(parse_ltl("G (b -> F a)")) != shape(parse_ltl("G (a -> F b)"))
-        assert shape(parse_ltl("G (a -> F a)")) != shape(parse_ltl("G (a -> F b)"))
-        # repr order, not first occurrence: "Z" sorts before "a".
-        assert shape(parse_ltl("G (a -> F Z)")) == shape(parse_ltl("G (b -> F a)"))
+                decided_where_check_raises += isinstance(expected, list) and isinstance(
+                    per_property(sys, props, cap), tuple
+                )
+        assert raised >= 300 and decided_where_check_raises >= 10
 
     @pytest.fixture()
     def fulfilment(self):
@@ -784,17 +788,19 @@ class TestSingleRun:
         return sys, generate_properties(load_model(str(FULFILMENT_HIGH)))
 
     def test_unknown_atom_before_and_after_a_capped_property(self, fulfilment):
-        # G (Start -> F ReceiveOrder) holds, but check's product for it
-        # needs 12 states: at cap 11 it raises.
+        # G (Start -> F ReceiveOrder) holds on the run, which fits a cap of
+        # 11, but check's product for it needs 12 states: at cap 11 check
+        # alone raises, while check_all decides it on the run.
         sys, props = fulfilment
         holding, bad = props[0], parse_ltl("G Nowhere")
         assert check(sys, holding.formula, 12).holds
-        with pytest.raises(AtomMismatchError):
-            check_all(sys, [bad, holding], cap=11)
         with pytest.raises(StateCapExceeded, match=r"cap of 11 states exceeded \(frontier size 1\)"):
-            check_all(sys, [holding, bad], cap=11)
-        with pytest.raises(AtomMismatchError):
-            check_all(sys, [holding, bad], cap=12)
+            check(sys, holding.formula, 11)
+        assert [v.holds for v in check_all(sys, [holding], cap=11)] == [True]
+        for cap in (11, 12):
+            for order in ([bad, holding], [holding, bad]):
+                with pytest.raises(AtomMismatchError):
+                    check_all(sys, order, cap=cap)
 
     def test_the_walk_stops_at_the_cap(self):
         # A run longer than the cap is left to check, which stops at the
@@ -810,8 +816,8 @@ class TestSingleRun:
             check_all(sys, [parse_ltl("G (I -> F A0)"), parse_ltl("F Nope")])
 
     def test_holding_properties_build_no_product(self, fulfilment, monkeypatch):
-        # Only the violated property reaches the fair-SCC search, and the
-        # four holding ones of three shapes build three automata.
+        # Only the violated property builds an automaton and reaches the
+        # fair-SCC search; the four holding ones are decided on the run.
         from containcheck import checker
 
         sys, props = fulfilment
@@ -830,7 +836,7 @@ class TestSingleRun:
         monkeypatch.setattr(checker, "automaton_for_negation", counted_build)
         verdicts = check_all(sys, props)
         assert [v.holds for v in verdicts] == [True, False, True, True, True]
-        assert calls == {"search": 1, "build": 1 + 3}
+        assert calls == {"search": 1, "build": 1}
 
 
 @pytest.fixture(scope="module")

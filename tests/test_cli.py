@@ -127,6 +127,13 @@ class TestValidate:
         assert run("validate", low) == 2
         assert capsys.readouterr().err == f"{low}: line 2: invalid JSON: Expecting value\n"
 
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert run("validate", deep) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{deep}: /: invalid JSON: nested too deeply\n")
+
 
 class TestGenLtl:
     def test_high_fixture_matches_golden(self, tmp_path):
@@ -290,6 +297,20 @@ class TestCheck:
         captured = capsys.readouterr()
         golden = (GOLDEN / "parity_low_forkjoin.check.txt").read_bytes()
         assert (captured.out.encode("utf-8"), captured.err) == (golden, "")
+
+    def test_parity_pair_is_decided_within_its_run(self, capsys):
+        # Every property holds on the low model's run of 8 states, so a cap
+        # of 8 decides them all; at 7 the run does not fit and check's
+        # product stops at the cap.
+        high, low = GOLDEN / "parity_high.behavior", GOLDEN / "parity_low_forkjoin.behavior"
+        assert run("check", high, low, "--cap", "8") == 0
+        captured = capsys.readouterr()
+        golden = (GOLDEN / "parity_low_forkjoin.check.txt").read_bytes()
+        assert (captured.out.encode("utf-8"), captured.err) == (golden, "")
+        assert run("check", high, low, "--cap", "7") == 2
+        assert capsys.readouterr() == (
+            "", "error: state-space cap of 7 states exceeded (frontier size 1)\n"
+        )
 
     def test_smallest_passing_cap_on_a_single_run(self, capsys):
         # The violated property's product needs 18 states; with one fewer,

@@ -223,6 +223,48 @@ class TestParseJson:
         errs = errors_of(parse_json(json.dumps(doc)))
         assert [(e.pointer, e.message) for e in errs] == [("/edges/3", "D -> A: duplicate edge")]
 
+    @staticmethod
+    def violations(nodes: str, edges: list) -> list[tuple[str, str]]:
+        """(pointer, message) of each error of a model whose nodes are
+        `id:kind` words and whose edges are (source, target, guard)."""
+        doc = {
+            "name": "M",
+            "nodes": [dict(zip(("id", "kind"), word.split(":"))) for word in nodes.split()],
+            "edges": [
+                {"source": a, "target": b, **({"guard": g} if g else {})} for a, b, g in edges
+            ],
+        }
+        return [(e.pointer, e.message) for e in errors_of(parse_json(json.dumps(doc)))]
+
+    def test_node_violation_pointed_at_its_entry(self):
+        assert self.violations("S:initial A:action B:action F:final", [
+            ("S", "A", None), ("A", "F", None), ("B", "F", None),
+        ]) == [
+            ("/nodes/2", "B: action requires at least 1 incoming edge"),
+            ("/nodes/2", "B: unreachable from the initial node"),
+        ]
+
+    def test_edge_violation_pointed_at_the_first_edge_of_its_pair(self):
+        # As the DSL locates it: a guarded repeat of A -> F is reported at
+        # the first A -> F, and only the duplicate at the repeat.
+        assert self.violations("S:initial A:action F:final", [
+            ("S", "A", None), ("A", "F", None), ("A", "F", "ok"),
+        ]) == [
+            ("/edges/2", "A -> F: duplicate edge"),
+            ("/nodes/1", "A: action requires exactly 1 outgoing edge"),
+            ("/edges/1", "A -> F: guard is only allowed on decision branches"),
+        ]
+
+    def test_model_violation_pointed_at_the_root(self):
+        assert self.violations("A:action F:final", [("A", "F", None)]) == [
+            ("/", "model has no initial node"),
+            ("/nodes/0", "A: action requires at least 1 incoming edge"),
+        ]
+
+    def test_nesting_too_deep_is_an_input_error(self):
+        errs = errors_of(parse_json("[" * 100_000, "deep.json"))
+        assert [str(e) for e in errs] == ["deep.json: /: invalid JSON: nested too deeply"]
+
 
 class TestPrintDsl:
     def test_stable_canonical_text(self, high_model):
