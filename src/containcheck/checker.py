@@ -50,7 +50,7 @@ import json
 
 from . import ltl, smv
 from .automaton import BuchiAutomaton, automaton_for_negation
-from .record import Record, setfield
+from .record import OperationalError, Record, setfield
 from .semantics import (
     DEFAULT_STATE_CAP,
     StateCapExceeded,
@@ -434,7 +434,7 @@ def _holds_on_lasso(formula: ltl.Formula, loop_start: int, n: int, atom_bits) ->
     return bool(labels[id(formula)] & 1)
 
 
-class OracleError(Exception):
+class OracleError(OperationalError):
     pass
 
 

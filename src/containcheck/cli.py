@@ -2,10 +2,22 @@
 reporting into one pipeline.
 
 Exit codes: 0 success (for `check`: containment holds), 1 a property is
-violated, 2 operational error (unreadable input, invalid model, cyclic
-high-level model, atom mismatch, missing external tool, engine divergence,
-an external report without one verdict per property) or internal error
-(any other exception), so a crash never reads as a verdict.
+violated, 2 an operational error or an internal error, so a crash never
+reads as a verdict. An operational error prints `error: <message>`. It is
+an `OSError` or a `containcheck.record.OperationalError`:
+- unreadable input or unwritable output, an invalid model, a cyclic
+  high-level model;
+- property atoms missing from the low-level model;
+- a non-positive `--cap` or `--depth`, or either of `--depth` and
+  `--dump-states` with `--engine nusmv`;
+- the state-space cap exceeded;
+- a system too large for the `--depth` oracle, or an oracle verdict that
+  differs from the engine's;
+- a missing external tool, one that times out or exits non-zero, a report
+  that does not parse or gives other than one verdict per property, and
+  internal and external verdicts that diverge.
+Any other exception is an internal error and prints
+`error: internal error: <type>: <message>`.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ import argparse
 import sys
 
 from . import ingest, ltl, smv
+from .record import OperationalError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -29,34 +42,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        OSError,
-        ingest.IngestError,
-        ltl.GenerationError,
-        smv.SmvGenerationError,
-        smv.AtomMismatchError,
-    ) as exc:
+    except (OSError, OperationalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:
-        # Only `check` loads the engine and the NuSMV bridge, so their
-        # errors are matched here, once something has gone wrong.
-        from . import checker, nusmv, semantics
-
-        if isinstance(
-            exc,
-            (
-                semantics.StateCapExceeded,
-                checker.OracleError,
-                nusmv.ToolNotFound,
-                nusmv.ToolRunError,
-                nusmv.OutputParseError,
-            ),
-        ):
-            print(f"error: {exc}", file=sys.stderr)
-        else:
-            print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,18 +166,13 @@ def cmd_gen_smv(args) -> int:
 
 def cmd_check(args) -> int:
     if args.cap < 1:
-        print("error: --cap must be positive", file=sys.stderr)
-        return EXIT_ERROR
+        raise OperationalError("--cap must be positive")
     if args.depth is not None and args.depth < 1:
-        print("error: --depth must be positive", file=sys.stderr)
-        return EXIT_ERROR
+        raise OperationalError("--depth must be positive")
     if args.engine == "nusmv" and (args.depth is not None or args.dump_states):
-        print(
-            "error: --depth and --dump-states need the internal engine "
-            "(--engine internal or both)",
-            file=sys.stderr,
+        raise OperationalError(
+            "--depth and --dump-states need the internal engine (--engine internal or both)"
         )
-        return EXIT_ERROR
     from . import checker, semantics
 
     high = ingest.load_model(args.high)
@@ -207,12 +192,10 @@ def cmd_check(args) -> int:
             for verdict, prop in zip(internal_verdicts, properties):
                 oracle = checker.oracle_check(system, prop.formula, args.depth)
                 if oracle.holds != verdict.holds:
-                    print(
-                        "error: internal and brute-force verdicts diverge on "
-                        f"{ltl.render_formula(prop.formula)}",
-                        file=sys.stderr,
+                    raise OperationalError(
+                        "internal and brute-force verdicts diverge on "
+                        f"{ltl.render_formula(prop.formula)}"
                     )
-                    return EXIT_ERROR
 
     external_verdicts = None
     if args.engine in ("nusmv", "both"):
@@ -223,23 +206,19 @@ def cmd_check(args) -> int:
         raw = nusmv.run_check(bundle, path_override=args.nusmv_path)
         external_verdicts = nusmv.parse_output(raw)
         if len(external_verdicts) != len(properties):
-            print(
-                f"error: external checker reported {len(external_verdicts)} "
-                f"verdicts for {len(properties)} properties",
-                file=sys.stderr,
+            raise OperationalError(
+                f"external checker reported {len(external_verdicts)} "
+                f"verdicts for {len(properties)} properties"
             )
-            return EXIT_ERROR
 
     if args.engine == "both":
         internal_vector = [v.holds for v in internal_verdicts]
         external_vector = [v.holds for v in external_verdicts]
         if internal_vector != external_vector:
-            print(
-                f"error: engine verdicts diverge (internal {internal_vector}, "
-                f"external {external_vector})",
-                file=sys.stderr,
+            raise OperationalError(
+                f"engine verdicts diverge (internal {internal_vector}, "
+                f"external {external_vector})"
             )
-            return EXIT_ERROR
 
     verdicts = internal_verdicts if internal_verdicts is not None else external_verdicts
     sys.stdout.write(checker.render_report(verdicts, format=args.format))

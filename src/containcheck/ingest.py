@@ -18,7 +18,7 @@ import re
 from .model import (
     DUPLICATE_EDGE, ActivityModel, Edge, ID_PATTERN, Node, NodeKind, repeated_edges, validate,
 )
-from .record import Record, setfield
+from .record import OperationalError, Record, setfield
 
 NODE_KEYWORDS = {k.value for k in NodeKind}
 
@@ -62,7 +62,7 @@ class ParseError(Record):
         return f"{where}: {self.message}"
 
 
-class IngestError(Exception):
+class IngestError(OperationalError):
     """Raised by the convenience loaders when a parse produced errors."""
 
     def __init__(self, errors: list[ParseError]):

@@ -22,7 +22,7 @@ import re
 from enum import Enum
 
 from .model import ActivityModel, NodeKind, is_acyclic, validate
-from .record import Record, setfield
+from .record import OperationalError, Record, setfield
 
 
 class Formula(Record):
@@ -333,7 +333,7 @@ class GeneratedProperty(Record):
         setfield(self, "primitive", primitive)
 
 
-class GenerationError(Exception):
+class GenerationError(OperationalError):
     pass
 
 

@@ -14,6 +14,7 @@ import tempfile
 
 from . import ltl
 from .checker import Lasso, Verdict
+from .record import OperationalError
 
 ENV_VAR = "NUSMV"
 DEFAULT_TIMEOUT = 60.0
@@ -31,18 +32,18 @@ _NOISE_PREFIXES = (
 )
 
 
-class ToolNotFound(Exception):
+class ToolNotFound(OperationalError):
     pass
 
 
-class ToolRunError(Exception):
+class ToolRunError(OperationalError):
     def __init__(self, message: str, stdout: str = "", stderr: str = ""):
         super().__init__(message)
         self.stdout = stdout
         self.stderr = stderr
 
 
-class OutputParseError(Exception):
+class OutputParseError(OperationalError):
     def __init__(self, line_number: int, line: str, problem: str = "unrecognized output"):
         super().__init__(f"{problem} at line {line_number}: {line!r}")
         self.line_number = line_number

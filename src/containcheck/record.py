@@ -1,4 +1,5 @@
-"""The base of every immutable value class: plain slotted records.
+"""The base of every immutable value class, plain slotted records, and of
+every operational failure.
 
 A record class lists its fields in `__slots__` (after those of its record
 bases) and stores them from an explicit `__init__` with `setfield`, since
@@ -29,6 +30,12 @@ from operator import attrgetter
 #: Stores one field from a record's `__init__`, past the raising
 #: `__setattr__`.
 setfield = object.__setattr__
+
+
+class OperationalError(Exception):
+    """A failure of the input, the environment or the run's limits, not of
+    the program: the CLI exits 2 with `error: <message>`. Any other
+    exception reads as an internal error."""
 
 
 class Record:

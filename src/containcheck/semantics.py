@@ -33,7 +33,7 @@ from itertools import compress, product
 from operator import itemgetter, ne
 
 from .model import synthetic_guard
-from .record import Record, setfield
+from .record import OperationalError, Record, setfield
 from .smv import (
     AndCond,
     AtomMismatchError,
@@ -57,7 +57,7 @@ State = int  # position in the system's table of value tuples
 DEFAULT_STATE_CAP = 1_000_000
 
 
-class StateCapExceeded(Exception):
+class StateCapExceeded(OperationalError):
     def __init__(self, cap: int, frontier: int):
         super().__init__(
             f"state-space cap of {cap} states exceeded (frontier size {frontier})"

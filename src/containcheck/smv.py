@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import ltl
 from .model import ActivityModel, NodeKind, synthetic_guard, validate
-from .record import Record, setfield
+from .record import OperationalError, Record, setfield
 
 SMV_RESERVED = frozenset(
     {
@@ -173,11 +173,11 @@ class SmvModule(Record):
         setfield(self, "_boolean_vars", frozenset(d.name for d in vars if d.is_boolean))
 
 
-class SmvGenerationError(Exception):
+class SmvGenerationError(OperationalError):
     pass
 
 
-class AtomMismatchError(Exception):
+class AtomMismatchError(OperationalError):
     """A property names atoms that are not boolean variables of the model."""
 
     def __init__(self, missing: list[str]):

@@ -22,10 +22,11 @@ from conftest import (
     chain_model,
     fork_model,
 )
-from containcheck import cli, semantics
+from containcheck import checker, cli, nusmv, semantics
 from containcheck.cli import main
-from containcheck.ingest import load_model, print_dsl
-from containcheck.smv import generate_smv
+from containcheck.ingest import IngestError, ParseError, load_model, print_dsl
+from containcheck.ltl import GenerationError
+from containcheck.smv import AtomMismatchError, SmvGenerationError, generate_smv
 
 CYCLIC = """\
 model Loop {
@@ -239,7 +240,9 @@ class TestCheck:
 
     def test_nonpositive_cap_rejected(self, capsys):
         assert run("check", HIGH, LOW_SAT, "--cap", "0") == 2
-        assert "--cap must be positive" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cap must be positive\n"
 
     def test_nonpositive_depth_rejected(self, monkeypatch, capsys):
         def no_check(*args, **kwargs):
@@ -251,6 +254,16 @@ class TestCheck:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: --depth must be positive\n"
+
+    def test_oracle_divergence_is_operational_error(self, capsys):
+        # Three steps are too few for the oracle to find the violating lasso.
+        assert run("check", HIGH, LOW_UNSAT, "--depth", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal and brute-force verdicts diverge on "
+            "G (VerifyCreditCard -> F ReplyCreditCardNotOK xor F CreateOrderBusinessObject)\n"
+        )
 
     def test_dump_states(self, capsys):
         assert run("check", HIGH, LOW_SAT, "--dump-states") == 0
@@ -449,6 +462,18 @@ class TestStartup:
         assert result.stdout == (GOLDEN / "order_processing_low_sat.check.json").read_text()
         assert result.stderr.splitlines()[-1] == repr((0, [], []))
 
+    def test_cap_refusal_loads_no_bridge(self):
+        result = self.run_child(
+            "import containcheck.cli\n"
+            f"code = containcheck.cli.main(['check', {str(HIGH)!r}, {str(LOW_SAT)!r}, '--cap', '1'])\n"
+            "print(repr((code, loaded())), file=sys.stderr)\n",
+            ("containcheck.nusmv", "subprocess"),
+        )
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: state-space cap of 1 states exceeded (frontier size 1)\n" + repr((2, [])) + "\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -519,6 +544,39 @@ class TestScale:
         assert cpu_s < bound
 
 
+class TestFailureType:
+    """A failure's type alone decides its line: an OSError or an
+    OperationalError prints its message, anything else reads as internal."""
+
+    FAILURES = [
+        (OSError(2, "No such file or directory", "x"), "[Errno 2] No such file or directory: 'x'"),
+        (IngestError([ParseError("bad", pointer="/nodes", file="x.json")]), "x.json: /nodes: bad"),
+        (GenerationError("x"), "x"),
+        (SmvGenerationError("x"), "x"),
+        (AtomMismatchError(["a", "b"]), "atoms missing from the model: a, b"),
+        (semantics.StateCapExceeded(1, 2), "state-space cap of 1 states exceeded (frontier size 2)"),
+        (checker.OracleError("x"), "x"),
+        (nusmv.ToolNotFound("x"), "x"),
+        (nusmv.ToolRunError("x"), "x"),
+        (nusmv.OutputParseError(3, "y"), "unrecognized output at line 3: 'y'"),
+        (checker.CounterexampleUnsound("x"), "internal error: CounterexampleUnsound: x"),
+        (ValueError("x"), "internal error: ValueError: x"),
+    ]
+
+    @pytest.mark.parametrize(
+        "exc, message", FAILURES, ids=[type(exc).__name__ for exc, _ in FAILURES]
+    )
+    def test_each_failure_exits_two_by_its_type(self, monkeypatch, capsys, exc, message):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert run("check", HIGH, LOW_SAT) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestInternalError:
     def test_crash_is_not_a_verdict(self, monkeypatch, capsys):
         def crash(args):
@@ -569,7 +627,12 @@ class TestEngineBoth:
         report = self.internal_report(capsys, LOW_SAT)  # all true
         tool = self.stub_tool(tmp_path, report)
         assert run("check", HIGH, LOW_UNSAT, "--engine", "both", "--nusmv-path", tool) == 2
-        assert "diverge" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: engine verdicts diverge (internal [True, False, True, True, True, True], "
+            "external [True, True, True, True, True, True])\n"
+        )
 
     def test_external_engine_alone(self, tmp_path, capsys):
         report = self.internal_report(capsys, LOW_UNSAT)
