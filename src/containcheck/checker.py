@@ -1,8 +1,10 @@
 """Property checking against the transition system, with lasso
 counterexamples and an independent brute-force oracle.
 
-check() negates the property, builds its tableau automaton, explores the
-product with the system, and searches for a reachable fair cycle: a
+check() is the one decision procedure, and check_all() is a loop over it.
+Unless the system's single run decides the property (below), check()
+negates the property, builds its tableau automaton, explores the product
+with the system, and searches for a reachable fair cycle: a
 strongly connected component touching every acceptance set. A violation is
 reported as a lasso (finite prefix plus repeating loop), re-verified by
 direct evaluation on the induced ultimately-periodic word before being
@@ -18,7 +20,7 @@ reaches the state, and the automaton labels each of its states with a
 (pos, care) pair, the atoms its literals want true and every atom they
 name. The edge into a state is taken when mask & care == pos.
 
-check_all() builds a product only where one can change the answer. A
+check() builds a product only where one can change the answer. A
 system whose walk from the initial state meets only states with exactly
 one successor, and closes within the cap, has one run, a lasso; every
 low-level model without a decision node is such a system. A property then
@@ -28,13 +30,12 @@ subformula's truth along the run held as an int, bit i at position i, so
 each operator costs one or two operations on ints as wide as the run; the
 system gives each atom's column once. Such a property is reported holding
 with no automaton and no product. Every other property, each violated one
-and each property of a branching system, goes to check(), so lassos and
-their bytes are check's own.
+and each property of a branching system, goes to the product.
 
-The cap bounds the states that the path deciding a property explores: on
-a single-run system, the run for a property that holds on it; otherwise
-check's product. The tableau is the one structure it does not bound: it
-is built whole before the product is explored.
+The cap has one rule. It bounds the states that the path deciding a
+property explores: on a single-run system, the run for a property that
+holds on it; otherwise the product. The tableau is the one structure it
+does not bound: it is built whole before the product is explored.
 
 oracle_check() never builds an automaton: it enumerates lassos of the
 system directly and evaluates the property on each word by unrolling. On a
@@ -47,6 +48,7 @@ violations found within the bound.
 from __future__ import annotations
 
 import json
+from functools import cache, lru_cache, partial
 
 from . import ltl, smv
 from .automaton import BuchiAutomaton, automaton_for_negation
@@ -151,11 +153,16 @@ def check(
     """Decide whether every infinite path from the initial state satisfies
     the property; on failure return a verified lasso counterexample.
 
-    cap bounds the number of product states explored.
+    A property that holds on the system's single run of at most `cap`
+    states holds; every other one is decided on the product, which may
+    hold at most `cap` states.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     smv.check_atoms(sys.module, [prop])
+    run = _single_run(sys, cap)
+    if run is not None and _holds_on_lasso(prop, *run):
+        return Verdict(prop, True, None, primitive, origin)
     auto = automaton_for_negation(prop)
     labels, transitions = auto.states, auto.transitions
     mask_of = sys.atom_mask(auto.atoms)
@@ -305,42 +312,26 @@ def _fair_cycle(adjacency, scc: set, entry: int, qs, auto: BuchiAutomaton) -> li
 
 
 def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -> list[Verdict]:
-    """One verdict per property, input order preserved; the first
-    exception in input order propagates. A property that holds on a
-    single run of at most `cap` states is reported holding from the run;
-    every other one gets the verdict, lasso or exception that check()
-    gives for it alone."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    run = _single_run(sys, cap)
-    if run is not None:
-        loop_start, states = run
-        columns: dict[str, int] = {}  # atom -> its truth along the run, as bits
-
-        def column(atom: str) -> int:
-            if atom not in columns:
-                columns[atom] = sys.atom_bits(states, atom)
-            return columns[atom]
-
+    """check() on each property in input order; the first exception
+    propagates."""
     out = []
     for prop in properties:
         if isinstance(prop, ltl.GeneratedProperty):
-            formula, primitive, origin = prop.formula, prop.primitive, prop.origin
+            out.append(check(sys, prop.formula, cap, prop.primitive, prop.origin))
         else:
-            formula, primitive, origin = prop, None, None
-        if run is not None:
-            smv.check_atoms(sys.module, [formula])
-            if _holds_on_lasso(formula, loop_start, len(states), column):
-                out.append(Verdict(formula, True, None, primitive, origin))
-                continue
-        out.append(check(sys, formula, cap, primitive, origin))
+            out.append(check(sys, prop, cap))
     return out
 
 
-def _single_run(sys: TransitionSystem, cap: int) -> tuple[int, list] | None:
-    """The system's one run as (loop start, states) when the walk from
-    the initial state meets only states with exactly one successor and
-    repeats a state within `cap` states; otherwise None."""
+@lru_cache(maxsize=1)
+def _single_run(sys: TransitionSystem, cap: int):
+    """The system's one run as (loop start, length, bits) when the walk
+    from the initial state meets only states with exactly one successor
+    and repeats a state within `cap` states; otherwise None. bits(atom)
+    is the atom's truth along the run as an int, computed once per atom.
+
+    Memoised for the last (system, cap) asked, so check_all walks each
+    system once; that system stays alive until another is asked."""
     position: dict[int, int] = {}
     states: list[int] = []
     state = sys.initial
@@ -353,7 +344,7 @@ def _single_run(sys: TransitionSystem, cap: int) -> tuple[int, list] | None:
         if len(succs) != 1:
             return None
         state = succs[0]
-    return position[state], states
+    return position[state], len(states), cache(partial(sys.atom_bits, states))
 
 
 def evaluate_on_lasso(formula: ltl.Formula, prefix, loop, atom_value) -> bool:
@@ -439,8 +430,8 @@ class OracleError(OperationalError):
 
 
 def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdict:
-    """Brute-force verdict: enumerate every lasso with |prefix| + |loop| up
-    to `depth` and evaluate the property on each by direct unrolling.
+    """Brute-force verdict: enumerate every lasso with |prefix| + |loop|
+    below `depth` and evaluate the property on each by direct unrolling.
 
     Exhaustive (hence in agreement with check) whenever every distinct
     behavior of the system closes a lasso within the bound; for systems

@@ -11,8 +11,9 @@ an `OSError` or a `containcheck.record.OperationalError`:
 - a non-positive `--cap` or `--depth`, or either of `--depth` and
   `--dump-states` with `--engine nusmv`;
 - the state-space cap exceeded;
-- a system too large for the `--depth` oracle, or an oracle verdict that
-  differs from the engine's;
+- a system too large for the `--depth` oracle, an engine counterexample
+  of `--depth` or more states where the oracle holds, or any other oracle
+  verdict that differs from the engine's;
 - a missing external tool, one that times out or exits non-zero, a report
   that does not parse or gives other than one verdict per property, and
   internal and external verdicts that diverge.
@@ -113,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=(
             "additionally cross-check internal verdicts with the brute-force "
-            "lasso enumeration up to this depth; divergence is an error"
+            "enumeration of lassos of fewer than this many states; a "
+            "counterexample it cannot reach, or a divergence, is an error"
         ),
     )
     _add_join_mode(p_check, "join template variant (default: %(default)s)")
@@ -191,11 +193,18 @@ def cmd_check(args) -> int:
         if args.depth is not None:
             for verdict, prop in zip(internal_verdicts, properties):
                 oracle = checker.oracle_check(system, prop.formula, args.depth)
-                if oracle.holds != verdict.holds:
+                if oracle.holds == verdict.holds:
+                    continue
+                formula = ltl.render_formula(prop.formula)
+                # The oracle reaches every lasso of fewer than --depth states.
+                lasso = verdict.counterexample
+                states = len(lasso.prefix) + len(lasso.loop) if lasso else 0
+                if oracle.holds and states >= args.depth:
                     raise OperationalError(
-                        "internal and brute-force verdicts diverge on "
-                        f"{ltl.render_formula(prop.formula)}"
+                        f"--depth {args.depth} cannot reach the counterexample to {formula}: "
+                        f"it has {states} states, so the oracle needs --depth {states + 1} or more"
                     )
+                raise OperationalError(f"internal and brute-force verdicts diverge on {formula}")
 
     external_verdicts = None
     if args.engine in ("nusmv", "both"):

@@ -39,20 +39,18 @@ class ParseError(Record):
     """One parse or validation failure, located by source span (DSL input)
     or by file and JSON pointer (JSON input, or a file that is not text)."""
 
-    __slots__ = ("message", "span", "pointer", "expected", "file")
+    __slots__ = ("message", "span", "pointer", "file")
 
     def __init__(
         self,
         message: str,
         span: SourceSpan | None = None,
         pointer: str | None = None,
-        expected: tuple[str, ...] | None = None,
         file: str | None = None,
     ) -> None:
         setfield(self, "message", message)
         setfield(self, "span", span)
         setfield(self, "pointer", pointer)
-        setfield(self, "expected", expected)
         setfield(self, "file", file)
 
     def __str__(self) -> str:
@@ -139,13 +137,13 @@ class _DslParser:
     def span(self, tok: _Token) -> SourceSpan:
         return SourceSpan(self.origin, tok.line, tok.column)
 
-    def fail(self, tok: _Token, message: str, expected: tuple[str, ...] | None = None) -> None:
-        self.errors.append(ParseError(message, self.span(tok), expected=expected))
+    def fail(self, tok: _Token, message: str) -> None:
+        self.errors.append(ParseError(message, self.span(tok)))
 
     def expect_word(self, what: str) -> _Token | None:
         tok = self.take()
         if tok.kind != "word":
-            self.fail(tok, f"expected {what}, got {tok.text or 'end of input'!r}", (what,))
+            self.fail(tok, f"expected {what}, got {tok.text or 'end of input'!r}")
             return None
         return tok
 
@@ -154,13 +152,13 @@ class _DslParser:
         if tok.kind == "punct" and tok.text == text:
             self.take()
             return True
-        self.fail(tok, f"expected {text!r}, got {tok.text or 'end of input'!r}", (text,))
+        self.fail(tok, f"expected {text!r}, got {tok.text or 'end of input'!r}")
         return False
 
     def parse(self) -> None:
         tok = self.take()
         if tok.kind != "word" or tok.text != "model":
-            self.fail(tok, "expected 'model'", ("model",))
+            self.fail(tok, "expected 'model'")
             return
         name = self.expect_word("model name")
         if name is None:
@@ -171,7 +169,7 @@ class _DslParser:
         while True:
             tok = self.peek()
             if tok.kind == "eof":
-                self.fail(tok, "expected '}' before end of input", ("}",))
+                self.fail(tok, "expected '}' before end of input")
                 return
             if tok.kind == "punct" and tok.text == "}":
                 self.take()
@@ -195,7 +193,7 @@ class _DslParser:
         if tok.kind == "punct" and tok.text == ";":
             self.take()
         elif not (tok.kind == "punct" and tok.text == "}"):
-            self.fail(tok, f"expected ';', got {tok.text or 'end of input'!r}", (";",))
+            self.fail(tok, f"expected ';', got {tok.text or 'end of input'!r}")
 
     def parse_node_decl(self) -> None:
         kind_tok = self.take()
@@ -216,7 +214,7 @@ class _DslParser:
         src_tok = self.take()
         tok = self.peek()
         if not (tok.kind == "arrow"):
-            self.fail(tok, f"expected '->', got {tok.text or 'end of input'!r}", ("->",))
+            self.fail(tok, f"expected '->', got {tok.text or 'end of input'!r}")
             self.end_decl()
             return
         self.take()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from functools import cache
+from unittest import mock
 
 import pytest
 
@@ -26,7 +28,7 @@ from conftest import (
 )
 from test_automaton import iterative_reference
 
-from containcheck import ltl
+from containcheck import checker, ltl
 from containcheck.checker import (
     Lasso,
     Verdict,
@@ -372,8 +374,6 @@ def reference_product(sys, prop):
 @pytest.fixture()
 def searched(monkeypatch):
     """The (qs, adjacency) of each product check passes to _find_fair_scc."""
-    from containcheck import checker
-
     out = []
     search = checker._find_fair_scc
 
@@ -385,11 +385,18 @@ def searched(monkeypatch):
     return out
 
 
+def by_product(sys, formula, cap=10**6, primitive=None, origin=None):
+    """check's product search alone, with no single-run decision, so a
+    property that holds on a single run reaches the product too."""
+    with mock.patch.object(checker, "_single_run", lambda sys, cap: None):
+        return check(sys, formula, cap, primitive, origin)
+
+
 def assert_products_match(sys, formulas, searched) -> list[Verdict]:
     verdicts = []
     for formula in formulas:
         searched.clear()
-        verdicts.append(check(sys, formula))
+        verdicts.append(by_product(sys, formula))
         assert searched == [reference_product(sys, formula)], render_formula(formula)
     return verdicts
 
@@ -628,10 +635,9 @@ class TestSoundness:
 
 
 # --- one run, decided on its lasso ----------------------------------------
-# check_all decides a holding property of a single-run system without a
-# product. Whatever path it takes, its result must be check's, property by
-# property in input order: the same verdicts and lassos, or the same first
-# exception.
+# check decides a holding property of a single-run system without a
+# product, and check_all is check on each property in input order: the
+# same verdicts and lassos, or the same first exception.
 
 def outcome(run):
     try:
@@ -640,41 +646,45 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-def per_property(sys, properties, cap):
-    """What check_all must return: check on each property in turn."""
+def per_property(sys, properties, cap, decide=check):
+    """decide on each property in turn."""
 
     def run():
         out = []
         for prop in properties:
             if isinstance(prop, ltl.GeneratedProperty):
-                out.append(check(sys, prop.formula, cap, prop.primitive, prop.origin))
+                out.append(decide(sys, prop.formula, cap, prop.primitive, prop.origin))
             else:
-                out.append(check(sys, prop, cap))
+                out.append(decide(sys, prop, cap))
         return out
 
     return outcome(run)
 
 
 def decided_on_the_run(sys, properties, cap):
-    """What check_all must return at `cap` on a single-run system: a
-    property that holds on a run of at most `cap` states holds, and every
-    other property gets what check gives at `cap`."""
+    """What check and check_all must return at `cap` on a single-run
+    system: a property that holds on a run of at most `cap` states holds,
+    and every other property gets what the product search gives at `cap`."""
     n = single_run_length(sys)
 
-    def run():
-        out = []
-        for prop in properties:
-            if isinstance(prop, ltl.GeneratedProperty):
-                formula, primitive, origin = prop.formula, prop.primitive, prop.origin
-            else:
-                formula, primitive, origin = prop, None, None
-            verdict = check(sys, formula, 10**6, primitive, origin)
-            if not (n <= cap and verdict.holds):
-                verdict = check(sys, formula, cap, primitive, origin)
-            out.append(verdict)
-        return out
+    def decide(sys, formula, cap, primitive=None, origin=None):
+        verdict = by_product(sys, formula, 10**6, primitive, origin)
+        if n <= cap and verdict.holds:
+            return verdict
+        return by_product(sys, formula, cap, primitive, origin)
 
-    return outcome(run)
+    return per_property(sys, properties, cap, decide)
+
+
+def cap_sweep(sys, properties):
+    """Caps around each product bound (run length, or reachable states on
+    a branching system, times automaton states) and up to twice that
+    length."""
+    n = single_run_length(sys) or len(reachable_states(sys).states)
+    formulas = [p.formula if isinstance(p, ltl.GeneratedProperty) else p for p in properties]
+    sizes = {len(automaton_for_negation(f).states) for f in formulas}
+    caps = set(range(1, 2 * n + 2)) | {n * q + d for q in sizes for d in (-1, 0, 1)}
+    return sorted(c for c in caps if c > 0)
 
 
 def single_run_length(sys):
@@ -760,27 +770,35 @@ class TestSingleRun:
         assert violated >= 300 and held >= 1000
 
     def test_cap_errors_equal_check(self, agreement):
-        # Caps around each product bound (run length times automaton
-        # states) and below the run length. A property that holds on the
-        # run needs only the run to fit the cap; every other one raises
-        # where check alone raises.
-        raised = decided_where_check_raises = 0
+        # A property that holds on the run needs only the run to fit the
+        # cap; every other one raises where the product search raises.
+        raised = decided_where_the_product_raises = 0
         for name, low, props in agreement[:19] + agreement[19::25]:
             sys = build_system(generate_smv(low))
-            n = single_run_length(sys)
-            if n is None:
+            if single_run_length(sys) is None:
                 continue
-            formulas = [p.formula if isinstance(p, ltl.GeneratedProperty) else p for p in props]
-            sizes = {len(automaton_for_negation(f).states) for f in formulas}
-            caps = set(range(1, 2 * n + 2)) | {n * q + d for q in sizes for d in (-1, 0, 1)}
-            for cap in sorted(c for c in caps if c > 0):
+            for cap in cap_sweep(sys, props):
                 expected = decided_on_the_run(sys, props, cap)
+                assert per_property(sys, props, cap) == expected, (name, cap)
                 assert outcome(lambda: check_all(sys, props, cap)) == expected, (name, cap)
                 raised += isinstance(expected, tuple)
-                decided_where_check_raises += isinstance(expected, list) and isinstance(
-                    per_property(sys, props, cap), tuple
+                decided_where_the_product_raises += isinstance(expected, list) and isinstance(
+                    per_property(sys, props, cap, by_product), tuple
                 )
-        assert raised >= 300 and decided_where_check_raises >= 10
+        assert raised >= 300 and decided_where_the_product_raises >= 10
+
+    def test_check_equals_check_all_on_one_property(self, agreement, monkeypatch):
+        # One decision procedure: check_all of one property is check of it,
+        # verdict and lasso or exception, at every cap of the sweep. Each
+        # formula's automaton is built once, as every build gives the same.
+        monkeypatch.setattr(checker, "automaton_for_negation", cache(automaton_for_negation))
+        for name, low, props in agreement:
+            sys = build_system(generate_smv(low))
+            for cap in cap_sweep(sys, props):
+                for prop in props:
+                    assert per_property(sys, [prop], cap) == outcome(
+                        lambda: check_all(sys, [prop], cap)
+                    ), (name, cap, prop)
 
     @pytest.fixture()
     def fulfilment(self):
@@ -789,18 +807,23 @@ class TestSingleRun:
 
     def test_unknown_atom_before_and_after_a_capped_property(self, fulfilment):
         # G (Start -> F ReceiveOrder) holds on the run, which fits a cap of
-        # 11, but check's product for it needs 12 states: at cap 11 check
-        # alone raises, while check_all decides it on the run.
+        # 11, but its product needs 12 states: at cap 11 check and
+        # check_all both decide it on the run.
         sys, props = fulfilment
         holding, bad = props[0], parse_ltl("G Nowhere")
-        assert check(sys, holding.formula, 12).holds
+        assert by_product(sys, holding.formula, 12).holds
         with pytest.raises(StateCapExceeded, match=r"cap of 11 states exceeded \(frontier size 1\)"):
-            check(sys, holding.formula, 11)
-        assert [v.holds for v in check_all(sys, [holding], cap=11)] == [True]
+            by_product(sys, holding.formula, 11)
+        expected = decided_on_the_run(sys, [holding], 11)
+        assert [v.holds for v in expected] == [True]
+        assert per_property(sys, [holding], 11) == expected
+        assert outcome(lambda: check_all(sys, [holding], cap=11)) == expected
         for cap in (11, 12):
             for order in ([bad, holding], [holding, bad]):
-                with pytest.raises(AtomMismatchError):
-                    check_all(sys, order, cap=cap)
+                expected = decided_on_the_run(sys, order, cap)
+                assert expected[0] is AtomMismatchError
+                assert per_property(sys, order, cap) == expected
+                assert outcome(lambda: check_all(sys, order, cap=cap)) == expected
 
     def test_the_walk_stops_at_the_cap(self):
         # A run longer than the cap is left to check, which stops at the
@@ -818,8 +841,6 @@ class TestSingleRun:
     def test_holding_properties_build_no_product(self, fulfilment, monkeypatch):
         # Only the violated property builds an automaton and reaches the
         # fair-SCC search; the four holding ones are decided on the run.
-        from containcheck import checker
-
         sys, props = fulfilment
         calls = Counter()
         search, build = checker._find_fair_scc, checker.automaton_for_negation

@@ -255,15 +255,37 @@ class TestCheck:
             assert captured.out == ""
             assert captured.err == "error: --depth must be positive\n"
 
-    def test_oracle_divergence_is_operational_error(self, capsys):
-        # Three steps are too few for the oracle to find the violating lasso.
-        assert run("check", HIGH, LOW_UNSAT, "--depth", "3") == 2
+    def test_oracle_divergence_is_operational_error(self, monkeypatch, capsys):
+        # An oracle that holds where the engine's lasso is within its reach.
+        monkeypatch.setattr(
+            checker, "oracle_check", lambda sys, prop, depth: checker.Verdict(prop, True)
+        )
+        assert run("check", HIGH, LOW_UNSAT, "--depth", "30") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "error: internal and brute-force verdicts diverge on "
             "G (VerifyCreditCard -> F ReplyCreditCardNotOK xor F CreateOrderBusinessObject)\n"
         )
+
+    @pytest.mark.parametrize("depth", [3, 8])
+    def test_oracle_too_shallow_for_the_counterexample(self, capsys, depth):
+        # The engine's lasso has 8 states; the oracle reaches every lasso of
+        # fewer than --depth states.
+        assert run("check", HIGH, LOW_UNSAT, "--depth", depth) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --depth {depth} cannot reach the counterexample to "
+            "G (VerifyCreditCard -> F ReplyCreditCardNotOK xor F CreateOrderBusinessObject): "
+            "it has 8 states, so the oracle needs --depth 9 or more\n"
+        )
+
+    def test_oracle_deep_enough_for_the_counterexample(self, capsys):
+        assert run("check", HIGH, LOW_UNSAT, "--depth", 9) == 1
+        captured = capsys.readouterr()
+        golden = (GOLDEN / "order_processing_low_unsat.check.txt").read_bytes()
+        assert (captured.out.encode("utf-8"), captured.err) == (golden, "")
 
     def test_dump_states(self, capsys):
         assert run("check", HIGH, LOW_SAT, "--dump-states") == 0

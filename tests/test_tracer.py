@@ -4,7 +4,7 @@ when the benchmark runs."""
 
 from __future__ import annotations
 
-from conftest import HIGH, LOW_UNSAT, load_bench
+from conftest import FULFILMENT_HIGH, FULFILMENT_LOW, HIGH, LOW_UNSAT, load_bench
 from containcheck import checker, cli, ingest, ltl, model, semantics, smv
 
 
@@ -40,3 +40,22 @@ def test_rebound_names_exist_and_are_restored(capsys):
     assert automaton == {"builds": 6, "states": 32, "max_states": 16}
     for owner in owners:
         assert dict(vars(owner)) == before[id(owner)], owner
+
+
+def test_every_decision_is_a_check_span(capsys):
+    # On a one-run low model, the four holding properties are decided on
+    # the run and the violated one on the product: each is one
+    # `checker.check` span, and only the violated one builds an automaton.
+    cc = {
+        "checker": checker, "cli": cli, "ingest": ingest, "ltl": ltl,
+        "model": model, "semantics": semantics, "smv": smv,
+    }
+    tracer = load_bench("tracer").Tracer(cc)
+    tracer.install()
+    try:
+        code = cli.main(["check", str(FULFILMENT_HIGH), str(FULFILMENT_LOW)])
+    finally:
+        tracer.uninstall()
+    assert code == 1 and capsys.readouterr().out.count("is true") == 4
+    assert [span[0] for span in tracer.spans].count("checker.check") == 5
+    assert tracer.counts["automaton.builds"] == 1
