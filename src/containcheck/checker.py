@@ -52,9 +52,8 @@ from functools import cache, lru_cache, partial
 
 from . import ltl, smv
 from .automaton import BuchiAutomaton, automaton_for_negation
-from .record import OperationalError, Record, setfield
+from .record import DEFAULT_STATE_CAP, OperationalError, Record, setfield
 from .semantics import (
-    DEFAULT_STATE_CAP,
     StateCapExceeded,
     TransitionSystem,
     reachable_states,
@@ -143,26 +142,27 @@ def _path_to(parent, node) -> list:
     return path
 
 
-def check(
-    sys: TransitionSystem,
-    prop: ltl.Formula,
-    cap: int = DEFAULT_STATE_CAP,
-    primitive: ltl.Primitive | None = None,
-    origin: str | None = None,
-) -> Verdict:
+def check(sys: TransitionSystem, prop, cap: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide whether every infinite path from the initial state satisfies
-    the property; on failure return a verified lasso counterexample.
+    the property, a formula or a GeneratedProperty whose labels the
+    verdict carries; on failure the verdict holds a verified lasso.
 
     A property that holds on the system's single run of at most `cap`
     states holds; every other one is decided on the product, which may
     hold at most `cap` states.
     """
+    formula, primitive, origin = ltl.parts(prop)
     if cap < 1:
         raise ValueError("cap must be positive")
-    smv.check_atoms(sys.module, [prop])
+    smv.check_atoms(sys.module, [formula])
     run = _single_run(sys, cap)
-    if run is not None and _holds_on_lasso(prop, *run):
-        return Verdict(prop, True, None, primitive, origin)
+    on_run = run is not None and _holds_on_lasso(formula, *run)
+    lasso = None if on_run else _product_counterexample(sys, formula, cap)
+    return Verdict(formula, lasso is None, lasso, primitive, origin)
+
+
+def _product_counterexample(sys: TransitionSystem, prop: ltl.Formula, cap: int) -> Lasso | None:
+    """The product search: a verified lasso violating the formula, or None."""
     auto = automaton_for_negation(prop)
     labels, transitions = auto.states, auto.transitions
     mask_of = sys.atom_mask(auto.atoms)
@@ -210,13 +210,13 @@ def check(
 
     target = _find_fair_scc(adjacency, qs, auto)
     if target is None:
-        return Verdict(prop, True, None, primitive, origin)
+        return None
     scc, entry = target
     prefix = [states[i] for i in _path_to(parent, entry)[:-1]]
     loop = [states[i] for i in _fair_cycle(adjacency, scc, entry, qs, auto)]
     if evaluate_on_lasso(prop, prefix, loop, sys.atom_value):
         raise CounterexampleUnsound(ltl.render_formula(prop))
-    return Verdict(prop, False, _lasso(sys, prefix, loop), primitive, origin)
+    return _lasso(sys, prefix, loop)
 
 
 def _find_fair_scc(adjacency, qs, auto: BuchiAutomaton):
@@ -312,15 +312,9 @@ def _fair_cycle(adjacency, scc: set, entry: int, qs, auto: BuchiAutomaton) -> li
 
 
 def check_all(sys: TransitionSystem, properties, cap: int = DEFAULT_STATE_CAP) -> list[Verdict]:
-    """check() on each property in input order; the first exception
-    propagates."""
-    out = []
-    for prop in properties:
-        if isinstance(prop, ltl.GeneratedProperty):
-            out.append(check(sys, prop.formula, cap, prop.primitive, prop.origin))
-        else:
-            out.append(check(sys, prop, cap))
-    return out
+    """check() on each property, formula or GeneratedProperty, in input
+    order; the first exception propagates."""
+    return [check(sys, prop, cap) for prop in properties]
 
 
 @lru_cache(maxsize=1)
@@ -429,18 +423,20 @@ class OracleError(OperationalError):
     pass
 
 
-def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdict:
+def oracle_check(sys: TransitionSystem, prop, depth: int) -> Verdict:
     """Brute-force verdict: enumerate every lasso with |prefix| + |loop|
     below `depth` and evaluate the property on each by direct unrolling.
+    The property is a formula or a GeneratedProperty, as in check().
 
     Exhaustive (hence in agreement with check) whenever every distinct
     behavior of the system closes a lasso within the bound; for systems
     whose paths all reach a self-looping sink that holds once depth exceeds
     the longest simple path plus one. Violations found are always genuine.
     """
+    formula, primitive, origin = ltl.parts(prop)
     if depth < 1:
         raise OracleError("depth must be positive")
-    smv.check_atoms(sys.module, [prop])
+    smv.check_atoms(sys.module, [formula])
     try:
         reachable_states(sys, cap=ORACLE_STATE_LIMIT)
     except StateCapExceeded as exc:
@@ -448,10 +444,9 @@ def oracle_check(sys: TransitionSystem, prop: ltl.Formula, depth: int) -> Verdic
             f"system too large for the oracle (more than {ORACLE_STATE_LIMIT} states)"
         ) from exc
 
-    failing = _first_violating_lasso(sys, prop, depth)
-    if failing is None:
-        return Verdict(prop, True)
-    return Verdict(prop, False, _lasso(sys, *failing))
+    failing = _first_violating_lasso(sys, formula, depth)
+    lasso = None if failing is None else _lasso(sys, *failing)
+    return Verdict(formula, lasso is None, lasso, primitive, origin)
 
 
 def _first_violating_lasso(sys: TransitionSystem, prop: ltl.Formula, depth: int):

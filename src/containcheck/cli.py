@@ -27,15 +27,11 @@ import argparse
 import sys
 
 from . import ingest, ltl, smv
-from .record import OperationalError
+from .record import DEFAULT_STATE_CAP, OperationalError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
-
-#: `--cap`'s default, semantics.DEFAULT_STATE_CAP written out so that
-#: parsing the arguments loads no engine module (a test pins the two equal).
-DEFAULT_STATE_CAP = 1_000_000
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,10 +188,10 @@ def cmd_check(args) -> int:
         internal_verdicts = checker.check_all(system, properties, cap=args.cap)
         if args.depth is not None:
             for verdict, prop in zip(internal_verdicts, properties):
-                oracle = checker.oracle_check(system, prop.formula, args.depth)
+                oracle = checker.oracle_check(system, prop, args.depth)
                 if oracle.holds == verdict.holds:
                     continue
-                formula = ltl.render_formula(prop.formula)
+                formula = ltl.render_formula(verdict.formula)
                 # The oracle reaches every lasso of fewer than --depth states.
                 lasso = verdict.counterexample
                 states = len(lasso.prefix) + len(lasso.loop) if lasso else 0

@@ -203,6 +203,8 @@ class _DslParser:
             return
         if not ID_PATTERN.match(id_tok.text):
             self.fail(id_tok, f"id {id_tok.text!r} is not a legal identifier")
+            # Declared all the same, so its edges report nothing more.
+            self.node_spans[id_tok.text] = self.span(id_tok)
         elif id_tok.text in self.node_spans:
             self.fail(id_tok, f"duplicate node id {id_tok.text!r}")
         else:
@@ -319,6 +321,8 @@ def parse_json(text: str, origin: str = "<string>") -> ActivityModel | list[Pars
         kind_text = item.get("kind")
         if not isinstance(node_id, str) or not ID_PATTERN.match(node_id):
             errors.append(located(f"illegal node id {node_id!r}", f"{where}/id"))
+            if isinstance(node_id, str):
+                seen_ids.add(node_id)  # declared, as in the DSL
             continue
         if node_id in seen_ids:
             errors.append(located(f"duplicate node id {node_id!r}", f"{where}/id"))

@@ -333,6 +333,14 @@ class GeneratedProperty(Record):
         setfield(self, "primitive", primitive)
 
 
+def parts(prop) -> tuple[Formula, Primitive | None, str | None]:
+    """A property, a GeneratedProperty or a bare formula with neither
+    label, as (formula, primitive, origin): the one reader of both forms."""
+    if isinstance(prop, GeneratedProperty):
+        return prop.formula, prop.primitive, prop.origin
+    return prop, None, None
+
+
 class GenerationError(OperationalError):
     pass
 
@@ -436,8 +444,4 @@ def generate_properties(
 def render_ltlspec(properties) -> str:
     """One LTLSPEC line per property, LF separated; empty input renders as
     the empty string."""
-    lines = []
-    for prop in properties:
-        formula = prop.formula if isinstance(prop, GeneratedProperty) else prop
-        lines.append(f"LTLSPEC {render_formula(formula)}\n")
-    return "".join(lines)
+    return "".join(f"LTLSPEC {render_formula(parts(prop)[0])}\n" for prop in properties)

@@ -32,6 +32,11 @@ from operator import attrgetter
 setfield = object.__setattr__
 
 
+#: The default bound on the states a check explores (`check --cap`), here
+#: so that the CLI reads it without loading the engine.
+DEFAULT_STATE_CAP = 1_000_000
+
+
 class OperationalError(Exception):
     """A failure of the input, the environment or the run's limits, not of
     the program: the CLI exits 2 with `error: <message>`. Any other

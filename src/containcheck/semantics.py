@@ -33,7 +33,7 @@ from itertools import compress, product
 from operator import itemgetter, ne
 
 from .model import synthetic_guard
-from .record import OperationalError, Record, setfield
+from .record import DEFAULT_STATE_CAP, OperationalError, Record, setfield
 from .smv import (
     AndCond,
     AtomMismatchError,
@@ -53,8 +53,6 @@ from .smv import (
 )
 
 State = int  # position in the system's table of value tuples
-
-DEFAULT_STATE_CAP = 1_000_000
 
 
 class StateCapExceeded(OperationalError):

@@ -213,8 +213,9 @@ def generate_smv(model: ActivityModel) -> SmvModule:
     decls: list[SmvVarDecl] = []
     assigns: list[SmvAssign] = []
     for node in model.nodes:
-        incoming = model.incoming(node.id)
-        triggers = [trigger(e) for e in incoming]
+        triggers = tuple(trigger(e) for e in model.incoming(node.id))
+        junction = OrCond if node.kind is NodeKind.MERGE else AndCond
+        fire = triggers[0] if len(triggers) == 1 else junction(triggers)
         if node.kind is NodeKind.INITIAL:
             decls.append(SmvVarDecl(node.id))
             assigns.append(
@@ -230,7 +231,6 @@ def generate_smv(model: ActivityModel) -> SmvModule:
         elif node.kind is NodeKind.DECISION:
             values = ("undetermined",) + guard_values(node.id)
             decls.append(SmvVarDecl(node.id, values))
-            fire = triggers[0] if len(triggers) == 1 else AndCond(tuple(triggers))
             assigns.append(
                 SmvAssign(
                     node.id,
@@ -244,10 +244,6 @@ def generate_smv(model: ActivityModel) -> SmvModule:
             )
         else:
             decls.append(SmvVarDecl(node.id))
-            if node.kind is NodeKind.MERGE:
-                fire = triggers[0] if len(triggers) == 1 else OrCond(tuple(triggers))
-            else:
-                fire = triggers[0] if len(triggers) == 1 else AndCond(tuple(triggers))
             assigns.append(
                 SmvAssign(
                     node.id,
@@ -290,8 +286,7 @@ def check_atoms(module: SmvModule, high_properties) -> None:
     booleans = module._boolean_vars
     missing: list[str] = []
     for prop in high_properties:
-        formula = prop.formula if isinstance(prop, ltl.GeneratedProperty) else prop
-        for atom in sorted(ltl.atoms(formula)):
+        for atom in sorted(ltl.atoms(ltl.parts(prop)[0])):
             if atom not in booleans and atom not in missing:
                 missing.append(atom)
     if missing:

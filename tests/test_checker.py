@@ -195,6 +195,19 @@ class TestCheckFixtures:
         assert [v.primitive for v in verdicts] == [p.primitive for p in high_properties]
         assert [v.formula for v in verdicts] == [p.formula for p in high_properties]
 
+    def test_check_keeps_property_metadata(self, low_unsat_system, high_properties):
+        # check takes a GeneratedProperty whole, as check_all does, and its
+        # verdict carries the property's construct and node.
+        verdicts = [check(low_unsat_system, p) for p in high_properties]
+        assert not all(v.holds for v in verdicts)
+        for verdict, prop in zip(verdicts, high_properties):
+            assert (verdict.formula, verdict.primitive, verdict.origin) == (
+                prop.formula, prop.primitive, prop.origin
+            )
+            assert verdict == check_all(low_unsat_system, [prop])[0]
+        bare = check(low_unsat_system, high_properties[0].formula)
+        assert (bare.primitive, bare.origin) == (None, None)
+
     def test_order_invariance(self, low_unsat_system, high_properties):
         forward = [v.holds for v in check_all(low_unsat_system, high_properties)]
         backward = [v.holds for v in check_all(low_unsat_system, high_properties[::-1])]
@@ -385,11 +398,11 @@ def searched(monkeypatch):
     return out
 
 
-def by_product(sys, formula, cap=10**6, primitive=None, origin=None):
+def by_product(sys, prop, cap=10**6):
     """check's product search alone, with no single-run decision, so a
     property that holds on a single run reaches the product too."""
     with mock.patch.object(checker, "_single_run", lambda sys, cap: None):
-        return check(sys, formula, cap, primitive, origin)
+        return check(sys, prop, cap)
 
 
 def assert_products_match(sys, formulas, searched) -> list[Verdict]:
@@ -596,6 +609,24 @@ class TestOracle:
             assert word(*shortest) == word(path[:j], path[j:]), (path, j, shortest)
             assert words.setdefault(word(*shortest), shortest) == shortest
 
+    def test_oracle_takes_a_generated_property(self, low_unsat_system, high_properties):
+        # The same verdict and lasso as for the bare formula, labelled as
+        # check labels it.
+        depth = len(reachable_states(low_unsat_system).states)
+        for prop in high_properties:
+            whole = oracle_check(low_unsat_system, prop, depth)
+            bare = oracle_check(low_unsat_system, prop.formula, depth)
+            assert (whole.holds, whole.counterexample) == (bare.holds, bare.counterexample)
+            assert (whole.primitive, whole.origin) == (prop.primitive, prop.origin)
+            assert (bare.primitive, bare.origin) == (None, None)
+        assert not oracle_check(low_unsat_system, high_properties[1], depth).holds
+
+    def test_oracle_refuses_a_nonpositive_depth(self):
+        from containcheck.checker import OracleError
+
+        with pytest.raises(OracleError, match="^depth must be positive$"):
+            oracle_check(system_of(MINIMAL), parse_ltl("F F_node"), 0)
+
     def test_oracle_counterexamples_are_sound(self, low_unsat_system, high_properties):
         verdict = oracle_check(low_unsat_system, high_properties[1].formula, depth=30)
         assert lasso_violates(verdict.formula, verdict.counterexample)
@@ -648,17 +679,7 @@ def outcome(run):
 
 def per_property(sys, properties, cap, decide=check):
     """decide on each property in turn."""
-
-    def run():
-        out = []
-        for prop in properties:
-            if isinstance(prop, ltl.GeneratedProperty):
-                out.append(decide(sys, prop.formula, cap, prop.primitive, prop.origin))
-            else:
-                out.append(decide(sys, prop, cap))
-        return out
-
-    return outcome(run)
+    return outcome(lambda: [decide(sys, prop, cap) for prop in properties])
 
 
 def decided_on_the_run(sys, properties, cap):
@@ -667,11 +688,11 @@ def decided_on_the_run(sys, properties, cap):
     and every other property gets what the product search gives at `cap`."""
     n = single_run_length(sys)
 
-    def decide(sys, formula, cap, primitive=None, origin=None):
-        verdict = by_product(sys, formula, 10**6, primitive, origin)
+    def decide(sys, prop, cap):
+        verdict = by_product(sys, prop, 10**6)
         if n <= cap and verdict.holds:
             return verdict
-        return by_product(sys, formula, cap, primitive, origin)
+        return by_product(sys, prop, cap)
 
     return per_property(sys, properties, cap, decide)
 
@@ -681,8 +702,7 @@ def cap_sweep(sys, properties):
     a branching system, times automaton states) and up to twice that
     length."""
     n = single_run_length(sys) or len(reachable_states(sys).states)
-    formulas = [p.formula if isinstance(p, ltl.GeneratedProperty) else p for p in properties]
-    sizes = {len(automaton_for_negation(f).states) for f in formulas}
+    sizes = {len(automaton_for_negation(ltl.parts(p)[0]).states) for p in properties}
     caps = set(range(1, 2 * n + 2)) | {n * q + d for q in sizes for d in (-1, 0, 1)}
     return sorted(c for c in caps if c > 0)
 

@@ -362,7 +362,8 @@ class TestCheck:
         )
 
     def test_default_cap_is_the_engine_default(self):
-        # The parser keeps its own copy so that parsing loads no engine.
+        # Both read the one literal in `record`, which parsing loads
+        # without the engine.
         args = cli.build_parser().parse_args(["check", "high.behavior", "low.behavior"])
         assert args.cap == semantics.DEFAULT_STATE_CAP
 

@@ -26,6 +26,8 @@ from containcheck.ingest import (
 from containcheck.model import NodeKind
 
 MINIMAL_DSL = "model M { initial I; final F; I -> F }"
+NODES = [{"id": "I", "kind": "initial"}, {"id": "F", "kind": "final"}]
+EDGES = [{"source": "I", "target": "F"}]
 
 
 def ok(result):
@@ -133,6 +135,31 @@ class TestParseDsl:
         # Text that makes no token still moves the end of the input.
         text = "model M {\n  initial I; final F; I -> F " + tail
         assert [str(e) for e in errors_of(parse_dsl(text, "c.behavior"))] == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("graph M { }", "1:1: expected 'model'"),
+            ("model M ;", "1:9: expected '{', got ';'"),
+            ("model M { initial I; final F; I -> F; -> ; }", "1:39: expected a declaration, got '->'"),
+            ("model M { initial I; final F; I -> F } extra", "1:40: unexpected input after '}': 'extra'"),
+            ("model M { initial I; action ; final F; I -> F }", "1:29: expected node id, got ';'"),
+            ("model M { initial I; action _x; final F; I -> F }", "1:29: id '_x' is not a legal identifier"),
+        ],
+        ids=["no-model", "no-brace", "no-declaration", "after-brace", "no-node-id", "illegal-id"],
+    )
+    def test_input_errors_located(self, text, expected):
+        assert [str(e) for e in errors_of(parse_dsl(text, "m.behavior"))] == [f"m.behavior:{expected}"]
+
+    def test_stray_semicolons_accepted(self):
+        assert ok(parse_dsl("model M { ; initial I; ; final F; ; I -> F ; ; }")) == ok(parse_dsl(MINIMAL_DSL))
+
+    def test_illegal_id_counts_as_declared(self):
+        # The node was declared, so its edges add no unknown references.
+        text = "model M { initial I; action _x; final F; I -> _x; _x -> F }"
+        assert [str(e) for e in errors_of(parse_dsl(text, "m.behavior"))] == [
+            "m.behavior:1:29: id '_x' is not a legal identifier"
+        ]
 
     def test_fixture_parses(self):
         assert ok(parse_dsl(LOW_UNSAT.read_text(), str(LOW_UNSAT))).name == (
@@ -259,6 +286,57 @@ class TestParseJson:
         assert self.violations("A:action F:final", [("A", "F", None)]) == [
             ("/", "model has no initial node"),
             ("/nodes/0", "A: action requires at least 1 incoming edge"),
+        ]
+
+    @pytest.mark.parametrize(
+        "doc, expected",
+        [
+            ([], "/: top-level value must be an object"),
+            ({"name": 5, "nodes": NODES, "edges": EDGES}, "/name: 'name' must be a string"),
+            ({"name": "M", "nodes": [5] + NODES, "edges": EDGES}, "/nodes/0: node must be an object"),
+            (
+                {"name": "M", "nodes": [{"id": "1x", "kind": "action"}] + NODES, "edges": EDGES},
+                "/nodes/0/id: illegal node id '1x'",
+            ),
+            (
+                {"name": "M", "nodes": [{"id": "A", "kind": "action"}] * 2 + NODES, "edges": EDGES},
+                "/nodes/1/id: duplicate node id 'A'",
+            ),
+            (
+                {"name": "M", "nodes": [{**NODES[0], "name": 3}, NODES[1]], "edges": EDGES},
+                "/nodes/0/name: 'name' must be a string",
+            ),
+            ({"name": "M", "nodes": NODES, "edges": {}}, "/edges: 'edges' must be an array"),
+            ({"name": "M", "nodes": NODES, "edges": [5]}, "/edges/0: edge must be an object"),
+            (
+                {"name": "M", "nodes": NODES, "edges": [{"source": 5, "target": "F"}]},
+                "/edges/0/source: 'source' must be a string",
+            ),
+            (
+                {"name": "M", "nodes": NODES, "edges": [{**EDGES[0], "guard": 5}]},
+                "/edges/0/guard: 'guard' must be a string",
+            ),
+        ],
+        ids=[
+            "not-an-object", "name", "node", "illegal-id", "duplicate-id", "display-name",
+            "edges", "edge", "source", "guard",
+        ],
+    )
+    def test_input_errors_located(self, doc, expected):
+        assert [str(e) for e in errors_of(parse_json(json.dumps(doc), "m.json"))] == [
+            f"m.json: {expected}"
+        ]
+
+    def test_illegal_string_id_counts_as_declared(self):
+        # As in the DSL, a refused string id adds no unknown references;
+        # an id that is no string names nothing an edge could reference.
+        nodes = [NODES[0], {"id": "1x", "kind": "action"}, {"id": 5, "kind": "action"}, NODES[1]]
+        edges = [{"source": "I", "target": "1x"}, {"source": "1x", "target": "5"}]
+        errs = errors_of(parse_json(json.dumps({"name": "M", "nodes": nodes, "edges": edges})))
+        assert [(e.pointer, e.message) for e in errs] == [
+            ("/nodes/1/id", "illegal node id '1x'"),
+            ("/nodes/2/id", "illegal node id 5"),
+            ("/edges/1/target", "unknown node reference '5'"),
         ]
 
     def test_nesting_too_deep_is_an_input_error(self):

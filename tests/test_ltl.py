@@ -50,7 +50,7 @@ from containcheck.ltl import (
     render_ltlspec,
     xor_chain,
 )
-from containcheck.model import STRUCTURAL_KINDS, NodeKind
+from containcheck.model import STRUCTURAL_KINDS, ActivityModel, Edge, Node, NodeKind
 
 EXPECTED_HIGH_LINES = [
     "LTLSPEC G (InitialNode1 -> F VerifyCreditCard)",
@@ -145,6 +145,16 @@ class TestGeneration:
     def test_cyclic_model_rejected(self, low_unsat_model):
         with pytest.raises(GenerationError, match="loops unsupported"):
             generate_properties(low_unsat_model)
+
+    def test_invalid_model_rejected(self):
+        kinds = {"I": NodeKind.INITIAL, "F": NodeKind.FINAL, "G": NodeKind.FINAL}
+        model = ActivityModel("M", [Node(i, k) for i, k in kinds.items()], [Edge("I", "F")])
+        with pytest.raises(GenerationError) as raised:
+            generate_properties(model)
+        assert str(raised.value) == (
+            "model is not well formed: G: final node requires at least 1 incoming edge;"
+            " G: unreachable from the initial node"
+        )
 
     def test_reserved_id_rejected(self):
         model = parse_dsl("model M { initial I; final F; I -> F }")

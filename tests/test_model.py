@@ -184,6 +184,44 @@ class TestValidate:
         )
         assert any("all guarded or all unguarded" in v.message for v in validate(model))
 
+    @pytest.mark.parametrize(
+        "nodes, edges, expected",
+        [
+            (
+                "I:initial A:action D:decision F:final",
+                ["I A", "A D", "D I", "D F"],
+                ["I: initial node must have no incoming edges"],
+            ),
+            (
+                "I:initial F:final G:final",
+                ["I F"],
+                ["G: final node requires at least 1 incoming edge", "G: unreachable from the initial node"],
+            ),
+            (
+                "I:initial F:final K:fork A:action B:action",
+                ["I F", "K A", "K B", "A F", "B F"],
+                [
+                    "K: fork requires at least 1 incoming edge",
+                    "K: unreachable from the initial node",
+                    "A: unreachable from the initial node",
+                    "B: unreachable from the initial node",
+                ],
+            ),
+            (
+                "I:initial D:decision A:action B:action M:merge F:final G:final",
+                ["I D", "D A", "D B", "A M", "B M", "M F", "M G"],
+                ["M: merge requires exactly 1 outgoing edge"],
+            ),
+        ],
+        ids=["initial-incoming", "final-incoming", "fork-incoming", "merge-outgoing"],
+    )
+    def test_kind_rules_name_their_node(self, nodes, edges, expected):
+        model = model_of(
+            [(i, NodeKind(k)) for i, k in (word.split(":") for word in nodes.split())],
+            [tuple(pair.split()) for pair in edges],
+        )
+        assert [str(v) for v in validate(model)] == expected
+
     def test_validate_is_total_on_garbage(self):
         model = model_of([], [("A", "B")])
         assert isinstance(validate(model), list)
